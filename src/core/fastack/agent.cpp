@@ -1,6 +1,7 @@
 #include "core/fastack/agent.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/check.hpp"
 #include "obs/gate.hpp"
@@ -8,7 +9,7 @@
 namespace w11::fastack {
 
 FastAckAgent::FastAckAgent(Simulator& sim, AccessPoint& ap, Config cfg)
-    : sim_(sim), ap_(ap), cfg_(cfg), trace_(cfg.trace_capacity) {}
+    : sim_(sim), ap_(ap), cfg_(cfg) {}
 
 FlowState& FastAckAgent::state_for(const TcpSegment& seg) {
   auto it = flows_.find(seg.flow);
@@ -26,13 +27,14 @@ FlowState& FastAckAgent::state_for(const TcpSegment& seg) {
     s.seq_exp = s.seq_fack = s.seq_tcp = s.last_client_ack = seg.seq;
     s.seq_high = seg.seq;
     s.client_rwnd = cfg_.initial_client_rwnd;
-    trace(seg.flow, TraceEvent::kFlowCreated, seg.seq);
+    W11_TRACE_EVENT_AT(sim_.now(), ::w11::obs::TraceKind::kFastAckFlowCreated,
+                       sim_.processed_events(), seg.seq, seg.flow.value());
   }
   s.last_activity = sim_.now();
   return s;
 }
 
-void FastAckAgent::activate_bypass(FlowId flow, FlowState& s) {
+void FastAckAgent::activate_bypass(FlowState& s) {
   if (s.bypassed) return;
   s.bypassed = true;
   // Free the heavy per-flow state: a bypassed flow needs none of it, and a
@@ -41,7 +43,6 @@ void FastAckAgent::activate_bypass(FlowId flow, FlowState& s) {
   s.q_seq.clear();
   s.holes_vec.clear();
   ++stats_.bypass_activations;
-  trace(flow, TraceEvent::kBypassActivated, s.seq_fack, s.seq_exp);
   W11_TRACE_EVENT_AT(sim_.now(), ::w11::obs::TraceKind::kFastAckBypass,
                      sim_.processed_events(), s.seq_fack, s.seq_exp);
   W11_COUNT("fastack.bypass_activations");
@@ -60,7 +61,7 @@ bool FastAckAgent::validate(FlowId flow, FlowState& s) {
                              << " exp=" << s.seq_exp
                              << " high=" << s.seq_high);
   }
-  activate_bypass(flow, s);
+  activate_bypass(s);
   return false;
 }
 
@@ -79,7 +80,8 @@ TcpInterceptor::DataAction FastAckAgent::on_downlink_data(TcpSegment& seg) {
   // data we already acknowledged on its behalf. Spurious; drop.
   if (end <= s.seq_fack) {
     ++stats_.spurious_retx_dropped;
-    trace(seg.flow, TraceEvent::kDataSpurious, seq_in, seg.payload);
+    W11_TRACE_EVENT_AT(sim_.now(), ::w11::obs::TraceKind::kFastAckDataSpurious,
+                       sim_.processed_events(), seq_in, seg.flow.value());
     return DataAction::kDrop;
   }
 
@@ -93,12 +95,14 @@ TcpInterceptor::DataAction FastAckAgent::on_downlink_data(TcpSegment& seg) {
     std::erase_if(s.holes_vec,
                   [&](const Hole& h) { return h.start >= seq_in && h.end <= end; });
     ++stats_.e2e_retx_prioritized;
-    trace(seg.flow, TraceEvent::kDataRetransmit, seq_in, seg.payload);
+    W11_TRACE_EVENT_AT(sim_.now(),
+                       ::w11::obs::TraceKind::kFastAckDataRetransmit,
+                       sim_.processed_events(), seq_in, seg.flow.value());
     // An end-to-end retransmission means the sender timed out — its clock
     // stopped because the client fell behind the fast-ACK point (bytes the
     // cache alone can supply, §5.5.1). Heal from the client's real ACK
     // point, not just the sender's view.
-    if (s.seq_tcp < s.seq_fack) local_retransmit(seg.flow, s, s.seq_tcp);
+    if (s.seq_tcp < s.seq_fack) local_retransmit(s, s.seq_tcp);
     return DataAction::kForwardPriority;
   }
 
@@ -109,7 +113,8 @@ TcpInterceptor::DataAction FastAckAgent::on_downlink_data(TcpSegment& seg) {
   if (seq_in > s.seq_exp) {
     s.holes_vec.push_back(Hole{s.seq_exp, seq_in});
     ++stats_.holes_detected;
-    trace(seg.flow, TraceEvent::kHoleDetected, s.seq_exp, seq_in - s.seq_exp);
+    W11_TRACE_EVENT_AT(sim_.now(), ::w11::obs::TraceKind::kFastAckHoleDetected,
+                       sim_.processed_events(), s.seq_exp, seg.flow.value());
     if (cfg_.emulate_hole_dupacks) {
       for (int i = 0; i < 3; ++i) {
         TcpSegment dup;
@@ -121,7 +126,6 @@ TcpInterceptor::DataAction FastAckAgent::on_downlink_data(TcpSegment& seg) {
         dup.sacks.push_back(SackBlock{seq_in, end});
         dup.sent_at = sim_.now();
         ++stats_.hole_dupacks_sent;
-        trace(seg.flow, TraceEvent::kHoleDupAck, s.seq_fack);
         W11_TRACE_EVENT_AT(sim_.now(),
                            ::w11::obs::TraceKind::kFastAckHoleDupAck,
                            sim_.processed_events(), s.seq_fack, seq_in);
@@ -139,7 +143,8 @@ TcpInterceptor::DataAction FastAckAgent::on_downlink_data(TcpSegment& seg) {
   }
   s.seq_exp = end;
   s.seq_high = std::max(s.seq_high, end);
-  trace(seg.flow, TraceEvent::kDataInOrder, seq_in, seg.payload);
+  W11_TRACE_EVENT_AT(sim_.now(), ::w11::obs::TraceKind::kFastAckDataInOrder,
+                     sim_.processed_events(), seq_in, seg.flow.value());
   return DataAction::kForward;
 }
 
@@ -161,7 +166,8 @@ void FastAckAgent::on_80211_delivered(const TcpSegment& seg) {
   }
 
   s.q_seq.insert(AckedRange{seg.seq, seg.seq_end()});
-  trace(seg.flow, TraceEvent::kAirAck, seg.seq, seg.payload);
+  W11_TRACE_EVENT_AT(sim_.now(), ::w11::obs::TraceKind::kFastAckAirAck,
+                     sim_.processed_events(), seg.seq, seg.flow.value());
   drain_q_seq(seg.flow, s);
 }
 
@@ -221,17 +227,17 @@ bool FastAckAgent::on_uplink_ack(const TcpSegment& ack) {
     // recovery clocks itself until the window reopens.
     if (s.seq_tcp < s.seq_fack &&
         advertised_window(s) < cfg_.stall_rwnd_bytes) {
-      local_retransmit(ack.flow, s, s.seq_tcp);
+      local_retransmit(s, s.seq_tcp);
     }
   } else if (ack.ack == s.last_client_ack && !ack.has_payload()) {
     // Duplicate ACK from the client: it is missing data the AP already
     // fast-acked (wireless loss or a bad 802.11 hint). Serve it locally
     // from the cache — never bother the sender (§5.5.1).
     ++s.client_dupacks;
-    trace(ack.flow, TraceEvent::kClientDupAck, ack.ack,
-          static_cast<std::uint64_t>(s.client_dupacks));
+    W11_TRACE_EVENT_AT(sim_.now(), ::w11::obs::TraceKind::kFastAckClientDupAck,
+                       sim_.processed_events(), ack.ack, ack.flow.value());
     if (s.client_dupacks >= cfg_.local_retx_dupack_threshold) {
-      local_retransmit(ack.flow, s, ack.ack);
+      local_retransmit(s, ack.ack);
     }
   }
   if (s.client_dupacks == 0 && s.seq_tcp > s.seq_fack) {
@@ -241,23 +247,25 @@ bool FastAckAgent::on_uplink_ack(const TcpSegment& ack) {
   }
 
   if (!cfg_.suppress_client_acks) {
-    trace(ack.flow, TraceEvent::kClientAckPassed, ack.ack);
+    W11_TRACE_EVENT_AT(sim_.now(),
+                       ::w11::obs::TraceKind::kFastAckClientAckPassed,
+                       sim_.processed_events(), ack.ack, ack.flow.value());
     return false;
   }
   ++stats_.client_acks_suppressed;
-  trace(ack.flow, TraceEvent::kClientAckSuppressed, ack.ack);
   W11_TRACE_EVENT_AT(sim_.now(), ::w11::obs::TraceKind::kFastAckSuppress,
                      sim_.processed_events(), ack.ack, ack.rwnd);
   W11_COUNT("fastack.acks_suppressed");
   return true;
 }
 
-void FastAckAgent::on_mpdu_dropped(const TcpSegment& seg) {
+void FastAckAgent::on_mpdu_dropped([[maybe_unused]] const TcpSegment& seg) {
   // 802.11 retries exhausted: the fast-ACK point stalls here, no fast ACKs
   // flow, and the sender's RTO eventually drives an end-to-end
   // retransmission (case ii). Deliberately nothing to do (§5.5.1,
   // "timeout-based retransmissions").
-  trace(seg.flow, TraceEvent::kMpduDropped, seg.seq, seg.payload);
+  W11_TRACE_EVENT_AT(sim_.now(), ::w11::obs::TraceKind::kFastAckMpduDropped,
+                     sim_.processed_events(), seg.seq, seg.flow.value());
 }
 
 bool FastAckAgent::retx_rate_limited(const FlowState& s,
@@ -266,8 +274,7 @@ bool FastAckAgent::retx_rate_limited(const FlowState& s,
          sim_.now() - s.local_retx_at < cfg_.local_retx_holdoff;
 }
 
-void FastAckAgent::local_retransmit(FlowId flow, FlowState& s,
-                                    std::uint64_t from_seq) {
+void FastAckAgent::local_retransmit(FlowState& s, std::uint64_t from_seq) {
   if (retx_rate_limited(s, from_seq)) return;  // copies already in flight
 
   // Find the cached segment covering `from_seq`.
@@ -292,7 +299,6 @@ void FastAckAgent::local_retransmit(FlowId flow, FlowState& s,
     ++stats_.local_retransmits;
     ++injected;
     s.local_retx_horizon = std::max(s.local_retx_horizon, copy.seq_end());
-    trace(flow, TraceEvent::kLocalRetransmit, copy.seq, copy.payload);
     ap_.inject_downlink(std::move(copy), /*priority=*/true);
   }
   if (injected > 0) {
@@ -322,14 +328,12 @@ void FastAckAgent::emit_fast_ack(FlowId flow, FlowState& s,
   s.last_advertised_rwnd = ack.rwnd;
   if (window_update_only) {
     ++stats_.window_updates_sent;
-    trace(flow, TraceEvent::kWindowUpdate, ack.ack, ack.rwnd);
     W11_TRACE_EVENT_AT(sim_.now(),
                        ::w11::obs::TraceKind::kFastAckWindowUpdate,
                        sim_.processed_events(), ack.ack, ack.rwnd);
     W11_COUNT("fastack.window_updates");
   } else {
     ++stats_.fast_acks_sent;
-    trace(flow, TraceEvent::kFastAck, ack.ack, ack.rwnd);
     W11_TRACE_EVENT_AT(sim_.now(), ::w11::obs::TraceKind::kFastAckSynth,
                        sim_.processed_events(), ack.ack, ack.rwnd);
     W11_COUNT("fastack.acks_synthesized");
@@ -378,7 +382,9 @@ void FastAckAgent::gc_idle_flows() {
   std::sort(victims.begin(), victims.end(),
             [](FlowId a, FlowId b) { return a.value() < b.value(); });
   for (FlowId flow : victims) {
-    trace(flow, TraceEvent::kFlowEvicted, flows_[flow].seq_fack);
+    W11_TRACE_EVENT_AT(sim_.now(), ::w11::obs::TraceKind::kFastAckFlowEvicted,
+                       sim_.processed_events(), flows_[flow].seq_fack,
+                       flow.value());
     flows_.erase(flow);
     ++stats_.flows_evicted_idle;
   }
@@ -393,7 +399,9 @@ void FastAckAgent::evict_for_capacity() {
          it->first.value() < victim->first.value()))
       victim = it;
   }
-  trace(victim->first, TraceEvent::kFlowEvicted, victim->second.seq_fack);
+  W11_TRACE_EVENT_AT(sim_.now(), ::w11::obs::TraceKind::kFastAckFlowEvicted,
+                     sim_.processed_events(), victim->second.seq_fack,
+                     victim->first.value());
   flows_.erase(victim);
   ++stats_.flows_evicted_capacity;
 }

@@ -10,14 +10,15 @@
 // ACKs for holes caused by upstream drops.
 //
 // Every knob the paper discusses — and every design decision DESIGN.md
-// marks as an ablation candidate — is switchable in Config.
+// marks as an ablation candidate — is switchable in Config. The paper's
+// debug switches (fn. 9) are the process tracer's kFastAck category: every
+// datapath event is one obs::TraceKind (DESIGN.md §12).
 
 #include <optional>
 #include <unordered_map>
 
 #include "common/ids.hpp"
 #include "core/fastack/flow_state.hpp"
-#include "core/fastack/trace.hpp"
 #include "net/tcp_segment.hpp"
 #include "sim/simulator.hpp"
 #include "wlan/access_point.hpp"
@@ -57,10 +58,6 @@ class FastAckAgent : public TcpInterceptor {
     // real one (a deployed agent learns it from the SYN handshake, which
     // this model does not carry).
     std::uint64_t initial_client_rwnd = 1 << 20;
-    // Debug switches (paper fn. 9): record every datapath event into a
-    // bounded ring for tests and live debugging.
-    bool trace_enabled = false;
-    std::size_t trace_capacity = 4096;
     // --- graceful degradation (§5.5.4 corner cases) ----------------------
     // On an invariant anomaly (corrupt imported state, bookkeeping gone
     // wrong) the flow drops to bypass: plain forwarding, sender-driven
@@ -118,8 +115,6 @@ class FastAckAgent : public TcpInterceptor {
   [[nodiscard]] const FlowState* flow_state(FlowId flow) const;
   [[nodiscard]] const FlowStats& stats() const { return stats_; }
   [[nodiscard]] std::size_t tracked_flows() const { return flows_.size(); }
-  [[nodiscard]] const TraceRing& trace_ring() const { return trace_; }
-  [[nodiscard]] TraceRing& trace_ring() { return trace_; }
 
  private:
   FlowState& state_for(const TcpSegment& seg);
@@ -127,27 +122,20 @@ class FastAckAgent : public TcpInterceptor {
   // A violated invariant activates bypass (or fails hard when
   // bypass_on_anomaly is off).
   bool validate(FlowId flow, FlowState& s);
-  void activate_bypass(FlowId flow, FlowState& s);
+  void activate_bypass(FlowState& s);
   void evict_for_capacity();
   void drain_q_seq(FlowId flow, FlowState& s);
   void emit_fast_ack(FlowId flow, FlowState& s, bool window_update_only);
-  void local_retransmit(FlowId flow, FlowState& s, std::uint64_t from_seq);
+  void local_retransmit(FlowState& s, std::uint64_t from_seq);
   [[nodiscard]] bool retx_rate_limited(const FlowState& s,
                                        std::uint64_t from_seq) const;
   [[nodiscard]] std::uint64_t advertised_window(const FlowState& s) const;
-
-  void trace(FlowId flow, TraceEvent event, std::uint64_t seq,
-             std::uint64_t extra = 0) {
-    if (cfg_.trace_enabled)
-      trace_.record(TraceRecord{sim_.now(), flow, event, seq, extra});
-  }
 
   Simulator& sim_;
   AccessPoint& ap_;
   Config cfg_;
   std::unordered_map<FlowId, FlowState> flows_;
   FlowStats stats_;
-  TraceRing trace_;
 };
 
 }  // namespace w11::fastack

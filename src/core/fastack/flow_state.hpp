@@ -98,6 +98,9 @@ struct FlowStats {
   std::uint64_t flows_evicted_idle = 0;    // idle-timeout GC
   std::uint64_t flows_evicted_capacity = 0;  // table hit max_flows
   std::uint64_t flows_lost_to_crash = 0;   // crash_reset() state loss
+
+  friend constexpr bool operator==(const FlowStats&,
+                                   const FlowStats&) = default;
 };
 
 }  // namespace w11::fastack

@@ -23,8 +23,11 @@ std::string FaultEvent::to_string() const {
 
 FaultPlan& FaultPlan::add(FaultEvent ev) {
   W11_CHECK_MSG(ev.at >= Time{0}, "fault events cannot predate the epoch");
-  if (!events_.empty() && ev.at < events_.back().at) sorted_ = false;
-  events_.push_back(ev);
+  // Insert after every event at or before ev.at: ties keep insertion order.
+  const auto pos = std::upper_bound(
+      events_.begin(), events_.end(), ev.at,
+      [](Time at, const FaultEvent& e) { return at < e.at; });
+  events_.insert(pos, ev);
   return *this;
 }
 
@@ -75,17 +78,6 @@ FaultPlan& FaultPlan::telemetry_drop(Time at, int count) {
 FaultPlan& FaultPlan::clock_jump(Time at, Time backwards_by) {
   W11_CHECK(backwards_by > Time{0});
   return add({.at = at, .kind = FaultKind::kClockJump, .delta = backwards_by});
-}
-
-const std::vector<FaultEvent>& FaultPlan::events() const {
-  if (!sorted_) {
-    std::stable_sort(events_.begin(), events_.end(),
-                     [](const FaultEvent& a, const FaultEvent& b) {
-                       return a.at < b.at;
-                     });
-    sorted_ = true;
-  }
-  return events_;
 }
 
 FaultPlan FaultPlan::random(std::uint64_t seed, const RandomConfig& cfg) {
@@ -151,7 +143,6 @@ FaultPlan FaultPlan::random(std::uint64_t seed, const RandomConfig& cfg) {
         break;  // only ever emitted as the tail of an outage
     }
   }
-  plan.events();  // force the sort so plans compare bitwise-stable
   return plan;
 }
 

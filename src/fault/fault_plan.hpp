@@ -116,15 +116,16 @@ class FaultPlan {
                                         const RandomConfig& cfg);
 
   // Events sorted by time; ties keep insertion order (stable).
-  [[nodiscard]] const std::vector<FaultEvent>& events() const;
+  [[nodiscard]] const std::vector<FaultEvent>& events() const {
+    return events_;
+  }
   [[nodiscard]] std::size_t size() const { return events_.size(); }
   [[nodiscard]] bool empty() const { return events_.empty(); }
   [[nodiscard]] const std::string& name() const { return name_; }
 
  private:
   std::string name_;
-  mutable std::vector<FaultEvent> events_;
-  mutable bool sorted_ = true;
+  std::vector<FaultEvent> events_;  // kept time-sorted by add()
 };
 
 }  // namespace w11::fault

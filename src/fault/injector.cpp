@@ -5,9 +5,7 @@
 namespace w11::fault {
 
 FaultInjector::FaultInjector(FaultPlan plan, FaultHandlers handlers)
-    : plan_(std::move(plan)), handlers_(std::move(handlers)) {
-  plan_.events();  // force sort up front
-}
+    : plan_(std::move(plan)), handlers_(std::move(handlers)) {}
 
 void FaultInjector::advance_to(Time now) {
   W11_CHECK_MSG(!armed_, "an armed injector is driven by the simulator");

@@ -37,13 +37,26 @@ enum class TraceKind : std::uint16_t {
   kSimEvent,        // one dispatched simulator event; ord = event seq
   // mac
   kAmpduTx,         // A-MPDU formation + airtime; a = MPDU bundles, b = batch frames
-  // fastack
-  kFastAckSynth,    // synthesized cumulative ACK; a = ack seq, b = rwnd
-  kFastAckWindowUpdate,
-  kFastAckSuppress, // client ACK suppressed; a = ack seq
-  kFastAckCacheServe,  // local retransmission burst; a = from seq, b = segments
-  kFastAckHoleDupAck,  // emulated dup-ACK for an upstream hole
-  kFastAckBypass,      // flow dropped to bypass
+  // fastack: the paper's fn. 9 debug switches, in datapath order so that
+  // events of one simulator event (same ts and ord) merge in the order the
+  // agent emits them. Unless noted, a = the segment's seq or the ack number,
+  // b = flow id.
+  kFastAckFlowCreated,     // first segment of a flow
+  kFastAckBypass,          // flow dropped to bypass; a = fack, b = expected seq
+  kFastAckDataSpurious,    // case (i): below the fast-ACK point, dropped
+  kFastAckDataRetransmit,  // case (ii): end-to-end retransmission
+  kFastAckHoleDetected,    // case (iv): upstream hole; a = hole start
+  kFastAckHoleDupAck,      // emulated dup-ACK for the hole; b = seq past it
+  kFastAckDataInOrder,     // case (iii): cached and forwarded
+  kFastAckAirAck,          // 802.11 ACK absorbed into q_seq
+  kFastAckSynth,           // synthesized cumulative ACK; b = rwnd
+  kFastAckWindowUpdate,    // pure window update; b = rwnd
+  kFastAckClientDupAck,    // duplicate ACK from the client
+  kFastAckCacheServe,      // local retransmission burst; b = segments
+  kFastAckClientAckPassed, // client ACK forwarded (suppression off)
+  kFastAckSuppress,        // client ACK suppressed; b = rwnd
+  kFastAckMpduDropped,     // 802.11 retries exhausted
+  kFastAckFlowEvicted,     // idle-timeout or capacity GC; a = fack
   // planner
   kNboRound,        // one NBO round; ord = round, a = picks, b = accepted
   kNboBatch,        // one speculative commit batch; a = batch size
@@ -66,12 +79,22 @@ enum class TraceCategory : std::uint8_t { kSim, kMac, kFastAck, kPlanner, kTelem
   switch (k) {
     case TraceKind::kSimEvent: return "sim.event";
     case TraceKind::kAmpduTx: return "mac.ampdu_tx";
+    case TraceKind::kFastAckFlowCreated: return "fastack.flow_created";
+    case TraceKind::kFastAckBypass: return "fastack.bypass";
+    case TraceKind::kFastAckDataSpurious: return "fastack.data_spurious";
+    case TraceKind::kFastAckDataRetransmit: return "fastack.data_e2e_retx";
+    case TraceKind::kFastAckHoleDetected: return "fastack.hole_detected";
+    case TraceKind::kFastAckHoleDupAck: return "fastack.hole_dupack";
+    case TraceKind::kFastAckDataInOrder: return "fastack.data_in_order";
+    case TraceKind::kFastAckAirAck: return "fastack.air_ack";
     case TraceKind::kFastAckSynth: return "fastack.synth";
     case TraceKind::kFastAckWindowUpdate: return "fastack.window_update";
-    case TraceKind::kFastAckSuppress: return "fastack.suppress";
+    case TraceKind::kFastAckClientDupAck: return "fastack.client_dupack";
     case TraceKind::kFastAckCacheServe: return "fastack.cache_serve";
-    case TraceKind::kFastAckHoleDupAck: return "fastack.hole_dupack";
-    case TraceKind::kFastAckBypass: return "fastack.bypass";
+    case TraceKind::kFastAckClientAckPassed: return "fastack.client_ack_passed";
+    case TraceKind::kFastAckSuppress: return "fastack.suppress";
+    case TraceKind::kFastAckMpduDropped: return "fastack.mpdu_dropped";
+    case TraceKind::kFastAckFlowEvicted: return "fastack.flow_evicted";
     case TraceKind::kNboRound: return "planner.nbo_round";
     case TraceKind::kNboBatch: return "planner.nbo_batch";
     case TraceKind::kNboPick: return "planner.nbo_pick";
@@ -90,12 +113,22 @@ enum class TraceCategory : std::uint8_t { kSim, kMac, kFastAck, kPlanner, kTelem
   switch (k) {
     case TraceKind::kSimEvent: return TraceCategory::kSim;
     case TraceKind::kAmpduTx: return TraceCategory::kMac;
+    case TraceKind::kFastAckFlowCreated:
+    case TraceKind::kFastAckBypass:
+    case TraceKind::kFastAckDataSpurious:
+    case TraceKind::kFastAckDataRetransmit:
+    case TraceKind::kFastAckHoleDetected:
+    case TraceKind::kFastAckHoleDupAck:
+    case TraceKind::kFastAckDataInOrder:
+    case TraceKind::kFastAckAirAck:
     case TraceKind::kFastAckSynth:
     case TraceKind::kFastAckWindowUpdate:
-    case TraceKind::kFastAckSuppress:
+    case TraceKind::kFastAckClientDupAck:
     case TraceKind::kFastAckCacheServe:
-    case TraceKind::kFastAckHoleDupAck:
-    case TraceKind::kFastAckBypass: return TraceCategory::kFastAck;
+    case TraceKind::kFastAckClientAckPassed:
+    case TraceKind::kFastAckSuppress:
+    case TraceKind::kFastAckMpduDropped:
+    case TraceKind::kFastAckFlowEvicted: return TraceCategory::kFastAck;
     case TraceKind::kNboRound:
     case TraceKind::kNboBatch:
     case TraceKind::kNboPick: return TraceCategory::kPlanner;

@@ -237,10 +237,20 @@ class EventHandle {
   }
   explicit EventHandle(std::shared_ptr<bool> flag) : flag_(std::move(flag)) {}
 
+  // `refs` counts the live handles, so only the last one deletes the tag.
+  // GCC 12 under -fsanitize=thread cannot see that through two inlined
+  // destructors and reports a use-after-free.
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuse-after-free"
+#endif
   void release_tag() noexcept {
     if (tag_ != nullptr && --tag_->refs == 0) delete tag_;
     tag_ = nullptr;
   }
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12
+#pragma GCC diagnostic pop
+#endif
 
   std::shared_ptr<bool> flag_;
   sim_detail::ArenaTag* tag_ = nullptr;

@@ -115,10 +115,22 @@ class SmallFn {
 
   void move_from(SmallFn& other) noexcept {
     if (other.invoke_ == nullptr) return;
-    if (other.relocate_ != nullptr)
+    if (other.relocate_ != nullptr) {
       other.relocate_(buf_, other.buf_);
-    else  // trivially-copyable inline callable: relocation is a byte copy
+    } else {
+      // Trivially-copyable inline callable: relocation is a byte copy of the
+      // whole buffer, including bytes the callable never wrote (all of them
+      // for a capture-less lambda). Copying indeterminate unsigned chars is
+      // well defined, but GCC's -Wmaybe-uninitialized flags it once inlined.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
       std::memcpy(buf_, other.buf_, kInlineBytes);
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+    }
     invoke_ = other.invoke_;
     relocate_ = other.relocate_;
     destroy_ = other.destroy_;

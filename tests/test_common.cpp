@@ -220,7 +220,7 @@ TEST(Samples, SingleElement) {
 
 TEST(Samples, EmptyQuantileThrows) {
   Samples s;
-  EXPECT_THROW(s.median(), std::logic_error);
+  EXPECT_THROW(static_cast<void>(s.median()), std::logic_error);
 }
 
 TEST(Samples, CdfAt) {

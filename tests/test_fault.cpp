@@ -35,15 +35,25 @@ TEST(FaultPlan, BuildersExpandAndSortByTime) {
   FaultPlan plan("unit");
   plan.radar_burst(time::millis(10), /*ap=*/3, /*count=*/3, time::millis(5))
       .link_outage(time::millis(1), /*link=*/0, time::millis(30))
-      .ap_crash(time::millis(12), 1);
+      .ap_crash(time::millis(12), 1)
+      // A same-timestamp pair behind the latest event: it sorts into place
+      // and keeps its insertion order.
+      .telemetry_drop(time::millis(11), 2)
+      .ap_crash(time::millis(11), 4);
   const auto& evs = plan.events();
-  ASSERT_EQ(evs.size(), 6u);  // 3 radar + down/up pair + crash
+  ASSERT_EQ(evs.size(), 8u);  // 3 radar + down/up pair + 3 single events
   for (std::size_t i = 1; i < evs.size(); ++i)
     EXPECT_LE(evs[i - 1].at, evs[i].at) << "events not time-sorted at " << i;
   EXPECT_EQ(evs.front().kind, FaultKind::kLinkDown);
   EXPECT_EQ(evs.front().at, time::millis(1));
   EXPECT_EQ(evs.back().kind, FaultKind::kLinkUp);
   EXPECT_EQ(evs.back().at, time::millis(31));
+  // link-down@1, radar@10, then the 11 ms pair in insertion order.
+  EXPECT_EQ(evs[2].at, time::millis(11));
+  EXPECT_EQ(evs[2].kind, FaultKind::kTelemetryDrop);
+  EXPECT_EQ(evs[3].at, time::millis(11));
+  EXPECT_EQ(evs[3].kind, FaultKind::kApCrash);
+  EXPECT_EQ(evs[3].target, 4);
   int radar_hits = 0;
   for (const auto& ev : evs)
     if (ev.kind == FaultKind::kRadar) {

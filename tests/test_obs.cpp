@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -49,6 +50,13 @@ TEST(TraceRing, OverflowEvictsOldest) {
   ASSERT_EQ(snap.size(), 4u);
   for (std::size_t i = 0; i < snap.size(); ++i)
     EXPECT_EQ(snap[i].ord, i + 3) << "survivors must be the newest, in order";
+
+  ring.clear();
+  EXPECT_EQ(ring.size(), 0u);
+  EXPECT_EQ(ring.dropped(), 0u);
+  ring.push(TraceEvent{0, 0, 9, 0, 0, TraceKind::kSimEvent});
+  ASSERT_EQ(ring.snapshot().size(), 1u);
+  EXPECT_EQ(ring.snapshot().front().ord, 9u) << "clear() rewinds the head";
 }
 
 TEST(TraceRing, ZeroCapacityCountsEverythingAsDropped) {
@@ -57,6 +65,16 @@ TEST(TraceRing, ZeroCapacityCountsEverythingAsDropped) {
     ring.push(TraceEvent{0, 0, i, 0, 0, TraceKind::kSimEvent});
   EXPECT_EQ(ring.size(), 0u);
   EXPECT_EQ(ring.dropped(), 3u);
+}
+
+// Every TraceKind has a distinct name: exports write names, not numbers.
+TEST(TraceEventNames, AllDistinct) {
+  constexpr auto kLast = static_cast<int>(TraceKind::kPostmortem);
+  std::set<std::string> names;
+  for (int k = 0; k <= kLast; ++k)
+    names.insert(obs::to_string(static_cast<TraceKind>(k)));
+  EXPECT_EQ(names.size(), static_cast<std::size_t>(kLast) + 1);
+  EXPECT_EQ(names.count("?"), 0u);
 }
 
 // ------------------------------------------------------------ TraceRecorder

@@ -1,142 +1,117 @@
-// Tests for the FastACK debug-trace facility (paper fn. 9).
+// FastACK datapath tracing (paper fn. 9): the agent's events on the process
+// tracer's kFastAck category, and the rule that tracing a run never changes
+// its results.
 
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <sstream>
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <vector>
 
 #include "core/fastack/agent.hpp"
-#include "core/fastack/trace.hpp"
+#include "obs/gate.hpp"
 #include "scenario/testbed.hpp"
 
 namespace w11 {
 namespace {
 
-using fastack::TraceEvent;
-using fastack::TraceRecord;
-using fastack::TraceRing;
+#if W11_OBS
+using obs::TraceKind;
 
-TEST(TraceRing, KeepsChronologicalOrder) {
-  TraceRing ring(8);
-  for (int i = 0; i < 5; ++i)
-    ring.record({time::millis(i), FlowId{1}, TraceEvent::kFastAck,
-                 static_cast<std::uint64_t>(i), 0});
-  const auto snap = ring.snapshot();
-  ASSERT_EQ(snap.size(), 5u);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(snap[i].seq, static_cast<std::uint64_t>(i));
-  EXPECT_EQ(ring.dropped(), 0u);
-}
+// Each test owns the process tracer: it starts empty and disabled, and is
+// left that way.
+class AgentTracing : public ::testing::Test {
+ protected:
+  void SetUp() override { reset_tracer(); }
+  void TearDown() override { reset_tracer(); }
 
-TEST(TraceRing, EvictsOldestWhenFull) {
-  TraceRing ring(4);
-  for (int i = 0; i < 10; ++i)
-    ring.record({time::millis(i), FlowId{1}, TraceEvent::kAirAck,
-                 static_cast<std::uint64_t>(i), 0});
-  EXPECT_EQ(ring.size(), 4u);
-  EXPECT_EQ(ring.dropped(), 6u);
-  const auto snap = ring.snapshot();
-  EXPECT_EQ(snap.front().seq, 6u);
-  EXPECT_EQ(snap.back().seq, 9u);
-}
+  static void reset_tracer() {
+    obs::tracer().set_enabled(false);
+    obs::tracer().set_category_mask(obs::kAllCategories);
+    obs::tracer().clear();
+  }
 
-TEST(TraceRing, ClearResets) {
-  TraceRing ring(4);
-  for (int i = 0; i < 10; ++i)
-    ring.record({Time{}, FlowId{1}, TraceEvent::kAirAck, 0, 0});
-  ring.clear();
-  EXPECT_EQ(ring.size(), 0u);
-  EXPECT_EQ(ring.dropped(), 0u);
-}
+  static void trace_fastack_only() {
+    obs::tracer().set_category_mask(
+        obs::category_bit(obs::TraceCategory::kFastAck));
+    obs::tracer().set_enabled(true);
+  }
 
-TEST(TraceRecord, RendersHumanReadable) {
-  const TraceRecord r{time::millis(3), FlowId{7}, TraceEvent::kLocalRetransmit,
-                      1460, 1460};
-  const std::string s = r.to_string();
-  EXPECT_NE(s.find("local-retx"), std::string::npos);
-  EXPECT_NE(s.find("flow7"), std::string::npos);
-  EXPECT_NE(s.find("seq=1460"), std::string::npos);
-}
+  // The tracer's kFastAck-category events, in merged order.
+  static std::vector<obs::TraceEvent> fastack_events() {
+    std::vector<obs::TraceEvent> out;
+    for (const obs::TraceEvent& e : obs::tracer().merged())
+      if (obs::category(e.kind) == obs::TraceCategory::kFastAck)
+        out.push_back(e);
+    return out;
+  }
+};
 
-TEST(TraceRing, DumpMentionsEvictions) {
-  TraceRing ring(2);
-  for (int i = 0; i < 5; ++i)
-    ring.record({Time{}, FlowId{1}, TraceEvent::kFastAck, 0, 0});
-  std::ostringstream os;
-  ring.dump(os);
-  EXPECT_NE(os.str().find("3 older records evicted"), std::string::npos);
-}
-
-TEST(TraceEventNames, AllDistinct) {
-  std::set<std::string> names;
-  for (int e = 0; e <= static_cast<int>(TraceEvent::kMpduDropped); ++e)
-    names.insert(to_string(static_cast<TraceEvent>(e)));
-  EXPECT_EQ(names.size(),
-            static_cast<std::size_t>(TraceEvent::kMpduDropped) + 1);
-}
-
-// ----------------------------------------------------- agent integration --
-
-TEST(AgentTracing, DisabledByDefault) {
+TEST_F(AgentTracing, DisabledByDefault) {
   scenario::TestbedConfig cfg;
   cfg.n_clients_per_ap = 2;
   cfg.duration = time::seconds(1);
   cfg.fastack = {true};
   scenario::Testbed tb(cfg);
   tb.run();
-  EXPECT_EQ(tb.agent(0)->trace_ring().size(), 0u);
+  EXPECT_GT(tb.agent(0)->stats().fast_acks_sent, 0u);
+  EXPECT_EQ(obs::tracer().total_events(), 0u);
 }
 
-TEST(AgentTracing, RecordsTheExpectedEventSequence) {
+TEST_F(AgentTracing, RecordsTheExpectedEventSequence) {
   scenario::TestbedConfig cfg;
   cfg.n_clients_per_ap = 2;
   cfg.duration = time::millis(500);
   cfg.warmup = time::millis(0);
   cfg.fastack = {true};
-  cfg.agent.trace_enabled = true;
-  cfg.agent.trace_capacity = 1 << 20;  // hold the whole run
+  trace_fastack_only();
   scenario::Testbed tb(cfg);
   tb.run();
+  obs::tracer().set_enabled(false);
 
-  const auto snap = tb.agent(0)->trace_ring().snapshot();
-  ASSERT_GT(snap.size(), 100u);
+  ASSERT_EQ(obs::tracer().total_dropped(), 0u) << "the ring must hold the run";
+  const auto events = fastack_events();
+  ASSERT_GT(events.size(), 100u);
 
   // Every event class of the steady state shows up.
-  std::map<TraceEvent, int> counts;
-  for (const auto& r : snap) ++counts[r.event];
-  EXPECT_EQ(counts[TraceEvent::kFlowCreated], 2);
-  EXPECT_GT(counts[TraceEvent::kDataInOrder], 50);
-  EXPECT_GT(counts[TraceEvent::kAirAck], 50);
-  EXPECT_GT(counts[TraceEvent::kFastAck], 50);
-  EXPECT_GT(counts[TraceEvent::kClientAckSuppressed], 10);
+  std::map<TraceKind, int> counts;
+  for (const auto& e : events) ++counts[e.kind];
+  EXPECT_EQ(counts[TraceKind::kFastAckFlowCreated], 2);
+  EXPECT_GT(counts[TraceKind::kFastAckDataInOrder], 50);
+  EXPECT_GT(counts[TraceKind::kFastAckAirAck], 50);
+  EXPECT_GT(counts[TraceKind::kFastAckSynth], 50);
+  EXPECT_GT(counts[TraceKind::kFastAckSuppress], 10);
 
   // The very first event of a flow is its creation.
-  EXPECT_EQ(snap.front().event, TraceEvent::kFlowCreated);
+  EXPECT_EQ(events.front().kind, TraceKind::kFastAckFlowCreated);
 
   // Timestamps are non-decreasing.
-  for (std::size_t i = 1; i < snap.size(); ++i)
-    EXPECT_GE(snap[i].at, snap[i - 1].at);
+  for (std::size_t i = 1; i < events.size(); ++i)
+    EXPECT_GE(events[i].ts_ns, events[i - 1].ts_ns);
 }
 
-TEST(AgentTracing, CapturesLossRecoveryStory) {
-  // With bad hints the ring must show client dupacks followed by local
-  // retransmissions — the §5.5.1 recovery in one readable dump.
+TEST_F(AgentTracing, CapturesLossRecoveryStory) {
+  // With bad hints the trace must show client dupacks followed by a local
+  // retransmission burst — the §5.5.1 recovery in one readable dump.
   scenario::TestbedConfig cfg;
   cfg.n_clients_per_ap = 2;
   cfg.duration = time::seconds(2);
   cfg.fastack = {true};
   cfg.bad_hint_rate = 0.05;
-  cfg.agent.trace_enabled = true;
-  cfg.agent.trace_capacity = 1 << 18;
   cfg.seed = 11;
+  trace_fastack_only();
   scenario::Testbed tb(cfg);
   tb.run();
+  obs::tracer().set_enabled(false);
 
-  const auto snap = tb.agent(0)->trace_ring().snapshot();
+  const auto events = fastack_events();
   bool saw_dupack_then_retx = false;
-  for (std::size_t i = 0; i + 1 < snap.size() && !saw_dupack_then_retx; ++i) {
-    if (snap[i].event == TraceEvent::kClientDupAck) {
-      for (std::size_t j = i + 1; j < std::min(snap.size(), i + 8); ++j) {
-        if (snap[j].event == TraceEvent::kLocalRetransmit) {
+  for (std::size_t i = 0; i + 1 < events.size() && !saw_dupack_then_retx;
+       ++i) {
+    if (events[i].kind == TraceKind::kFastAckClientDupAck) {
+      for (std::size_t j = i + 1; j < std::min(events.size(), i + 8); ++j) {
+        if (events[j].kind == TraceKind::kFastAckCacheServe) {
           saw_dupack_then_retx = true;
           break;
         }
@@ -145,6 +120,53 @@ TEST(AgentTracing, CapturesLossRecoveryStory) {
   }
   EXPECT_TRUE(saw_dupack_then_retx);
 }
+
+TEST_F(AgentTracing, TracingDoesNotPerturbTheTestbed) {
+  // Observing must never change what is observed: the same FastACK run,
+  // traced on every category and then untraced, ends bit-identical.
+  struct Outcome {
+    std::uint64_t digest = 0;
+    std::uint64_t processed = 0;
+    double goodput_mbps = 0.0;
+    fastack::FlowStats stats;
+  };
+  auto run = [](bool traced) {
+    scenario::TestbedConfig cfg;
+    cfg.n_clients_per_ap = 3;
+    cfg.duration = time::millis(800);
+    cfg.warmup = time::millis(200);
+    cfg.fastack = {true};
+    cfg.bad_hint_rate = 0.05;  // so the recovery paths fire
+    cfg.seed = 5;
+    scenario::Testbed tb(cfg);
+    tb.simulator().enable_event_trace(/*capacity=*/0);
+    if (traced) {
+      obs::tracer().set_enabled(true);
+      tb.simulator().set_tracer(&obs::tracer());
+    }
+    tb.run();
+    if (traced) {
+      tb.simulator().set_tracer(nullptr);
+      obs::tracer().set_enabled(false);
+    }
+    return Outcome{tb.simulator().event_digest(),
+                   tb.simulator().processed_events(),
+                   tb.aggregate_throughput_mbps(), tb.agent(0)->stats()};
+  };
+
+  const Outcome traced = run(true);
+  EXPECT_FALSE(fastack_events().empty());
+  const std::uint64_t recorded = obs::tracer().total_events();
+  const Outcome bare = run(false);
+  EXPECT_EQ(obs::tracer().total_events(), recorded);
+
+  EXPECT_GT(traced.stats.local_retransmits, 0u);
+  EXPECT_EQ(traced.digest, bare.digest);
+  EXPECT_EQ(traced.processed, bare.processed);
+  EXPECT_EQ(traced.goodput_mbps, bare.goodput_mbps);
+  EXPECT_EQ(traced.stats, bare.stats);
+}
+#endif  // W11_OBS
 
 }  // namespace
 }  // namespace w11
