@@ -335,8 +335,8 @@ void BM_LittleTableInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_LittleTableInsert);
 
-// Batched ingestion: one reserve + bulk append per polling interval versus
-// a per-row insert loop (the before/after pair for the collector path).
+// Batched ingestion: one bulk append per polling interval into a growing
+// table (amortized O(batch); pair with BM_LittleTableInsert's per-row loop).
 void BM_LittleTableBatchAppend(benchmark::State& state) {
   const std::size_t batch_size = static_cast<std::size_t>(state.range(0));
   telemetry::LittleTable t("bench", {"a", "b", "c"});

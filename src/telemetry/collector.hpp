@@ -41,7 +41,7 @@ class NetworkCollector {
     ++records_written_;
     W11_COUNT("telemetry.records_written");
     // Batch the interval: build all AP rows, then one bulk append (one
-    // reserve + one sortedness check instead of per-AP bookkeeping).
+    // sortedness check instead of per-AP bookkeeping).
     std::vector<LittleTable::Row> batch;
     batch.reserve(ev.per_ap.size());
     for (const auto& m : ev.per_ap) {

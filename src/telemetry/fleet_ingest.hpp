@@ -2,11 +2,11 @@
 // FleetIngest: batched multi-network telemetry ingestion (§2.2 at scale).
 //
 // The backend polls every campus and lands the interval's rows in bulk; at
-// fleet scale the write path must be one reserve + one append per campus
-// poll, never per-AP inserts — and the tables must tolerate the resulting
-// timestamp interleaving across campuses (LittleTable's retention probe
-// reads the tracked oldest timestamp, not the sort index, exactly so these
-// seams stay O(1) per batch).
+// fleet scale the write path must be one amortized O(batch) append per
+// campus poll, never per-AP inserts — and the tables must tolerate the
+// resulting timestamp interleaving across campuses (LittleTable's retention
+// probe reads the tracked oldest timestamp, not the sort index, exactly so
+// these seams stay O(1) per batch).
 
 #include <cstdint>
 #include <vector>
@@ -38,9 +38,9 @@ class FleetIngest {
 #endif
   }
 
-  // One campus's slice of a polling interval: one reserve, one bulk
-  // append, staged through a scratch batch whose capacity persists across
-  // polls (steady-state ingest allocates no outer batch vector).
+  // One campus's slice of a polling interval: one bulk append, staged
+  // through a scratch batch whose capacity persists across polls
+  // (steady-state ingest allocates no outer batch vector).
   void ingest_scans(std::uint32_t campus_key,
                     const std::vector<ApScan>& scans, Time at) {
     scratch_.clear();

@@ -1,9 +1,11 @@
 #include "telemetry/littletable.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 
 #include "common/check.hpp"
+#include "obs/gate.hpp"
 
 namespace w11::telemetry {
 
@@ -29,10 +31,6 @@ void LittleTable::insert(std::uint32_t entity, Time at,
   maybe_compact();
 }
 
-void LittleTable::reserve_rows(std::size_t rows) {
-  rows_.reserve(rows_.size() + rows);
-}
-
 void LittleTable::append(std::vector<Row> batch) { append_reusing(batch); }
 
 void LittleTable::append_reusing(std::vector<Row>& batch) {
@@ -49,13 +47,17 @@ void LittleTable::append_reusing(std::vector<Row>& batch) {
     }
     prev = r.at;
   }
-  rows_.reserve(rows_.size() + batch.size());
   if (rows_.empty()) oldest_ = batch.front().at;
   for (const Row& r : batch) {
     newest_ = std::max(newest_, r.at);
     oldest_ = std::min(oldest_, r.at);
   }
-  std::move(batch.begin(), batch.end(), std::back_inserter(rows_));
+  // Geometric growth: at most one reallocation per append, amortized
+  // O(batch). An exact-size reserve would copy the whole table every poll.
+  const std::size_t capacity = rows_.capacity();
+  rows_.insert(rows_.end(), std::make_move_iterator(batch.begin()),
+               std::make_move_iterator(batch.end()));
+  if (rows_.capacity() != capacity) W11_COUNT("telemetry.table_grows");
   batch.clear();
   maybe_compact();
 }

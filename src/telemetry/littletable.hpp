@@ -40,13 +40,10 @@ class LittleTable {
   // timestamps are accepted (a sort index is rebuilt lazily).
   void insert(std::uint32_t entity, Time at, std::vector<double> values);
 
-  // Pre-size the row store for `rows` additional rows (ingestion batching:
-  // one reallocation for a whole polling interval instead of one per AP).
-  void reserve_rows(std::size_t rows);
-
   // Bulk append: moves a whole batch in, validating each row's width and
-  // updating sortedness once. Equivalent to insert() per row, but with a
-  // single reserve and no per-row sorted_ bookkeeping.
+  // updating sortedness once. Equivalent to insert() per row, but with no
+  // per-row sorted_ bookkeeping; the row store grows geometrically, so a
+  // stream of small batches costs amortized O(batch) each.
   void append(std::vector<Row> batch);
 
   // Same, for callers that reuse one scratch batch across polls: rows are

@@ -7,6 +7,7 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "flowsim/network.hpp"
+#include "obs/gate.hpp"
 #include "telemetry/collector.hpp"
 #include "telemetry/fleet_ingest.hpp"
 #include "telemetry/littletable.hpp"
@@ -114,7 +115,6 @@ TEST(LittleTable, BatchAppendMatchesPerRowInserts) {
     batch.push_back(
         LittleTable::Row{static_cast<std::uint32_t>(i % 4), at, vals});
   }
-  b.reserve_rows(batch.size());
   b.append(std::move(batch));
 
   ASSERT_EQ(a.row_count(), b.row_count());
@@ -151,6 +151,34 @@ TEST(LittleTable, BatchAppendValidatesSchema) {
   EXPECT_EQ(t.row_count(), 0u);  // a bad batch is rejected atomically
   EXPECT_NO_THROW(t.append({}));
 }
+
+#if W11_OBS
+// A fleet poll's worth of small per-campus batches into one table: the row
+// store must grow geometrically, reallocating a logarithmic number of times
+// rather than once per append.
+TEST(LittleTable, BatchAppendsGrowTheRowStoreGeometrically) {
+  obs::MetricsRegistry& reg = obs::metrics();
+  const bool was_enabled = reg.enabled();
+  reg.set_enabled(true);
+  const obs::Counter grows = reg.counter("telemetry.table_grows");
+  const std::uint64_t before = reg.counter_value(grows);
+
+  auto t = two_col();
+  std::vector<LittleTable::Row> batch;
+  for (int poll = 0; poll < 640; ++poll) {
+    for (int i = 0; i < 16; ++i)
+      batch.push_back(LittleTable::Row{static_cast<std::uint32_t>(i),
+                                       time::seconds(poll), {1.0, 2.0}});
+    t.append_reusing(batch);
+  }
+  const std::uint64_t moved = reg.counter_value(grows) - before;
+  reg.set_enabled(was_enabled);
+
+  EXPECT_EQ(t.row_count(), 640u * 16u);
+  EXPECT_GE(moved, 1u);
+  EXPECT_LE(moved, 20u);
+}
+#endif  // W11_OBS
 
 TEST(LittleTable, RetentionTrim) {
   auto t = two_col();
