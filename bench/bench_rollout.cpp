@@ -181,24 +181,18 @@ int main() {
   // Sequential on purpose: a health run owns the process-global
   // tracer/metrics registries, so it must never share them with a
   // concurrent twin. The faulty shape above guarantees reverts, so the
-  // recorder dumps postmortems — and they must be byte-identical whether
-  // the planner scored on 1 worker or 4.
-  auto health_cfg = [](exec::TaskPool* p) {
-    scenario::RolloutScenarioConfig cfg = sweep_config(1, 62, 16);
-    cfg.health = true;
-    cfg.pool = p;
-    return cfg;
-  };
-  exec::TaskPool hp1(1);
-  exec::TaskPool hp4(4);
-  const auto h1 = scenario::run_rollout_scenario(health_cfg(&hp1));
-  const auto h4 = scenario::run_rollout_scenario(health_cfg(&hp4));
+  // recorder dumps postmortems — and two runs of the same seeds must dump
+  // the same bytes.
+  scenario::RolloutScenarioConfig health_cfg = sweep_config(1, 62, 16);
+  health_cfg.health = true;
+  const auto h1 = scenario::run_rollout_scenario(health_cfg);
+  const auto h2 = scenario::run_rollout_scenario(health_cfg);
   const bool postmortems_ok = !h1.postmortems.empty() &&
-                              h1.postmortems == h4.postmortems &&
-                              h1.health_events_jsonl == h4.health_events_jsonl;
+                              h1.postmortems == h2.postmortems &&
+                              h1.health_events_jsonl == h2.health_events_jsonl;
   bench::shape_check(
-      "auto-revert chaos dumps postmortem bundles, byte-identical at 1 vs 4 "
-      "planner workers",
+      "auto-revert chaos dumps postmortem bundles, byte-identical across "
+      "twin runs",
       postmortems_ok);
   bench::shape_check(
       "SLO burn-rate alerting paged on the reverts and recovered after",
@@ -222,7 +216,7 @@ int main() {
     w.field("recoveries", h1.health_recoveries);
     w.field("health_rows", h1.health_rows);
     w.field("postmortems", static_cast<std::uint64_t>(h1.postmortems.size()));
-    w.field("postmortems_identical_across_workers", postmortems_ok);
+    w.field("postmortems_identical_across_runs", postmortems_ok);
     w.field("reverted", h1.rollout_health.reverted);
     w.end_object();
     w.key("intensities").begin_array();

@@ -73,7 +73,7 @@ class ReferenceEvaluator {
 
  private:
   Params params_;
-  mutable Rng rng_;
+  Rng rng_;
 };
 
 }  // namespace w11::turboca

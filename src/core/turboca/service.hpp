@@ -79,8 +79,7 @@ class TurboCaService {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
   // The underlying optimizer — exposed so callers can attach observability
-  // sinks (obs::PlanAudit via set_audit) or a TaskPool to the engine the
-  // service fires.
+  // sinks (obs::PlanAudit via set_audit) and read its sweep_stats().
   [[nodiscard]] TurboCA& engine() { return engine_; }
 
   // Cross-epoch spectrum-aggregate reuse: the service owns one cache for

@@ -58,17 +58,11 @@ Channel TurboCA::acc(const PlanContext& ctx, std::size_t target,
   return best;
 }
 
-void TurboCA::plan_sweep(const flowsim::ScanIndex& index, int hop_limit,
-                         std::vector<std::uint32_t>& order,
-                         std::vector<std::uint32_t>& group_end) {
-  // Algorithm 1's control flow, drawing the exact RNG sequence of the
-  // reference NBO. Group membership and drain order depend only on the
-  // epoch's adjacency and loads — never on the evolving plan — so the whole
-  // schedule can be fixed up front and the ACC decisions executed after.
+void TurboCA::nbo_sweep(PlanContext& ctx, int hop_limit) {
+  // Algorithm 1, applied to `ctx` in place, drawing the exact RNG sequence
+  // of the reference NBO (ACC draws none).
+  const flowsim::ScanIndex& index = ctx.index();
   const std::size_t n = index.size();
-  order.clear();
-  order.reserve(n);
-  group_end.assign(n, 0);
 
   std::vector<std::uint32_t> s_set(n);  // S <- V
   for (std::size_t i = 0; i < n; ++i) s_set[i] = static_cast<std::uint32_t>(i);
@@ -80,6 +74,8 @@ void TurboCA::plan_sweep(const flowsim::ScanIndex& index, int hop_limit,
 
   std::vector<std::uint32_t> group;
   std::vector<double> weights;
+  PsiSet psi(n);
+  std::size_t pick_pos = 0;
 
   while (!s_set.empty()) {
     // line 4: random unassigned AP n.
@@ -104,16 +100,20 @@ void TurboCA::plan_sweep(const flowsim::ScanIndex& index, int hop_limit,
       }
     }
 
-    // line 5/6: S_group = S ∩ hood, S -= S_group.
+    // line 5/6: S_group = S ∩ hood, S -= S_group. ψ is the group's
+    // still-undrained members; it shrinks by one erase per pick.
     group.clear();
-    for (std::uint32_t i : s_set)
-      if (visited[i] == token) group.push_back(i);
+    psi.clear();
+    for (std::uint32_t i : s_set) {
+      if (visited[i] != token) continue;
+      group.push_back(i);
+      psi.insert(i);
+    }
     std::erase_if(s_set, [&](std::uint32_t i) { return visited[i] == token; });
 
-    // lines 7-11: fix the group's drain order, load-weighted (§4.4.3:
-    // heavily loaded APs pick earlier and get first choice of clean
-    // channels — the weights come from the static per-epoch loads).
-    const std::size_t gb = order.size();
+    // lines 7-11: drain the group, load-weighted (§4.4.3: heavily loaded
+    // APs pick earlier and get first choice of clean channels — the weights
+    // come from the static per-epoch loads), one ACC per pick.
     while (!group.empty()) {
       std::size_t mi;
       if (params_.load_weighted_pick) {
@@ -125,109 +125,17 @@ void TurboCA::plan_sweep(const flowsim::ScanIndex& index, int hop_limit,
       } else {
         mi = rng_.index(group.size());
       }
-      order.push_back(group[mi]);
+      const std::uint32_t m = group[mi];
       group.erase(group.begin() + static_cast<std::ptrdiff_t>(mi));
+      psi.erase(m);
+
+      const Channel from = ctx.channel_of(m);
+      const Channel to = acc(ctx, m, psi);
+      ctx.set(m, to);
+      note_pick(ctx, m, pick_pos++, from, to);
     }
-    for (std::size_t t = gb; t < order.size(); ++t)
-      group_end[t] = static_cast<std::uint32_t>(order.size());
   }
-}
-
-void TurboCA::nbo_sweep(PlanContext& ctx, int hop_limit) {
-  // Algorithm 1, applied to `ctx` in place: fix the drain schedule first
-  // (all of the sweep's RNG), then execute the ACC decisions — serially, or
-  // speculatively batched across the pool. Both executions are bit-for-bit
-  // identical to the reference sweep.
-  const flowsim::ScanIndex& index = ctx.index();
-  const std::size_t n = index.size();
-  if (n == 0) return;
-
-  std::vector<std::uint32_t> order;
-  std::vector<std::uint32_t> group_end;
-  plan_sweep(index, hop_limit, order, group_end);
-
-  exec::TaskPool& tp = pool();
-  if (tp.workers() == 1 || exec::TaskPool::in_task() || n < 8) {
-    // Serial execution. ψ (the still-undrained members of the current
-    // group) starts as the whole group and shrinks by one erase per pick.
-    PsiSet psi(n);
-    std::size_t group_until = 0;
-    for (std::size_t t = 0; t < order.size(); ++t) {
-      if (t == group_until) {
-        psi.clear();
-        group_until = group_end[t];
-        for (std::size_t u = t; u < group_until; ++u) psi.insert(order[u]);
-      }
-      psi.erase(order[t]);
-      const Channel from = ctx.channel_of(order[t]);
-      const Channel to = acc(ctx, order[t], psi);
-      ctx.set(order[t], to);
-      note_pick(ctx, order[t], t, from, to);
-    }
-    sweep_stats_.picks += order.size();
-    sweep_stats_.batches += order.size();
-    sweep_stats_.max_batch = std::max<std::uint64_t>(sweep_stats_.max_batch,
-                                                     order.empty() ? 0 : 1);
-    ++sweep_stats_.serial_sweeps;
-    return;
-  }
-
-  // Speculative batched execution. A pick's ACC reads plan entries only
-  // within two forward hops of its AP: its own term reads its contender
-  // neighbors' channels, and each affected neighbor's term reads that
-  // neighbor's contenders. So consecutive picks whose two-hop read sets
-  // avoid every earlier in-batch mover see exactly the pre-batch plan the
-  // serial execution would show them — score them concurrently, commit in
-  // drain order, and the result is identical at any worker count.
-  std::vector<char> write_mark(n, 0);
-  auto reads_a_mover = [&](std::uint32_t ap) {
-    if (write_mark[ap]) return true;
-    for (const flowsim::ScanIndex::Neighbor& nb1 : index.neighbors(ap)) {
-      if (write_mark[nb1.index]) return true;
-      for (const flowsim::ScanIndex::Neighbor& nb2 :
-           index.neighbors(nb1.index))
-        if (write_mark[nb2.index]) return true;
-    }
-    return false;
-  };
-
-  // Per-lane ψ scratch: lane indices are unique within one parallel_for,
-  // and this scratch never outlives the sweep.
-  std::vector<PsiSet> psi_scratch;
-  psi_scratch.reserve(static_cast<std::size_t>(tp.workers()));
-  for (int l = 0; l < tp.workers(); ++l) psi_scratch.emplace_back(n);
-
-  std::vector<Channel> results(n);
-  std::size_t t = 0;
-  while (t < order.size()) {
-    std::size_t bend = t;
-    do {
-      write_mark[order[bend]] = 1;
-      ++bend;
-    } while (bend < order.size() && !reads_a_mover(order[bend]));
-
-    tp.parallel_for(bend - t, [&](std::size_t k, int lane) {
-      const std::size_t p = t + k;
-      PsiSet& psi = psi_scratch[static_cast<std::size_t>(lane)];
-      psi.clear();
-      for (std::size_t u = p + 1; u < group_end[p]; ++u) psi.insert(order[u]);
-      results[p] = acc(ctx, order[p], psi);
-    });
-
-    for (std::size_t p = t; p < bend; ++p) {
-      const Channel from = ctx.channel_of(order[p]);
-      ctx.set(order[p], results[p]);
-      note_pick(ctx, order[p], p, from, results[p]);
-      write_mark[order[p]] = 0;
-    }
-    W11_TRACE_EVENT(::w11::obs::TraceKind::kNboBatch, sweep_stats_.batches,
-                    bend - t, 0);
-    ++sweep_stats_.batches;
-    sweep_stats_.max_batch =
-        std::max<std::uint64_t>(sweep_stats_.max_batch, bend - t);
-    t = bend;
-  }
-  sweep_stats_.picks += order.size();
+  sweep_stats_.picks += pick_pos;
 }
 
 void TurboCA::note_pick(const PlanContext& ctx, std::uint32_t ap,
@@ -241,9 +149,8 @@ void TurboCA::note_pick(const PlanContext& ctx, std::uint32_t ap,
   W11_TRACE_EVENT(::w11::obs::TraceKind::kNboPick,
                   sweep_stats_.picks + pick_pos, ap, switched ? 1 : 0);
   if (audit_ == nullptr) return;
-  // Read-only re-evaluation at the serial commit point: both executors
-  // reach here with the identical post-commit context, so the recorded
-  // numbers are the same at any worker count.
+  // Read-only re-evaluation of the just-committed decision: draws no RNG
+  // and mutates nothing, so the plan is the same with or without an audit.
   obs::PickRecord r;
   r.round = audit_round_;
   r.pick = static_cast<std::uint32_t>(pick_pos);

@@ -33,10 +33,13 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "exec/task_pool.hpp"
 #include "flowsim/scan.hpp"
 #include "flowsim/scan_index.hpp"
 #include "phy/channel.hpp"
+
+namespace w11::exec {
+class TaskPool;
+}
 
 namespace w11::obs {
 class PlanAudit;
@@ -83,20 +86,15 @@ class TurboCA {
     bool improved = false;
   };
 
-  // Observability for the speculative NBO executor (DESIGN.md §10): how
-  // much interleaving-safe parallelism the sweeps found. Cumulative; a
-  // serial sweep counts as one single-pick batch per AP.
+  // Cumulative sweep counters.
   struct SweepStats {
-    std::uint64_t picks = 0;    // ACC decisions executed
-    std::uint64_t batches = 0;  // speculative score-then-commit groups
-    std::uint64_t max_batch = 0;
-    std::uint64_t serial_sweeps = 0;  // sweeps that took the serial path
+    std::uint64_t picks = 0;  // ACC decisions executed
   };
 
-  // Pool the planner fans work out on: ACC candidate trials, speculative
-  // NBO proposal scoring. nullptr (default) = exec::TaskPool::global().
-  // Plans are bit-for-bit identical at every worker count.
-  void set_pool(exec::TaskPool* pool) { pool_ = pool; }
+  // No-op, kept for source compatibility: the planner kernel is serial
+  // (DESIGN.md §10). Parallelism lives one level up — one task per campus
+  // or per seed — where the grain pays for the dispatch.
+  void set_pool(exec::TaskPool* /*pool*/) {}
   [[nodiscard]] const SweepStats& sweep_stats() const { return sweep_stats_; }
 
   // Decision audit sink (DESIGN.md §12): when attached, every committed ACC
@@ -161,27 +159,13 @@ class TurboCA {
   void nbo_sweep(PlanContext& ctx, int hop_limit);
 
   // Per-commit bookkeeping (trace event, switch counting, audit record).
-  // Called at the serial commit point of both sweep executors, after
-  // ctx.set(); `from` is the channel the AP held before the pick.
+  // Called after ctx.set(); `from` is the channel the AP held before the
+  // pick and `pick_pos` its position in the sweep's drain order.
   void note_pick(const PlanContext& ctx, std::uint32_t ap,
                  std::size_t pick_pos, const Channel& from, const Channel& to);
 
-  // Algorithm 1's control flow without the ACC calls: draws the exact RNG
-  // sequence of the reference sweep and emits the drain schedule.
-  // order[t] is the t-th AP to pick a channel; group_end[t] is the end
-  // (exclusive, as a position in `order`) of t's group, so ψ at pick t is
-  // order[t+1 .. group_end[t]). Groups occupy contiguous position runs.
-  void plan_sweep(const flowsim::ScanIndex& index, int hop_limit,
-                  std::vector<std::uint32_t>& order,
-                  std::vector<std::uint32_t>& group_end);
-
-  [[nodiscard]] exec::TaskPool& pool() const {
-    return pool_ ? *pool_ : exec::TaskPool::global();
-  }
-
   Params params_;
-  mutable Rng rng_;
-  exec::TaskPool* pool_ = nullptr;
+  Rng rng_;
   SweepStats sweep_stats_;
   obs::PlanAudit* audit_ = nullptr;
   std::uint32_t audit_round_ = 0;   // NBO round within the current run()

@@ -18,7 +18,7 @@ thread_local bool tl_in_task = false;
 // pointer to it and the caller cannot return before remaining_ hits zero,
 // so the lifetime is safe.
 struct TaskPool::Batch {
-  std::function<void(std::size_t, std::size_t, int)> body;
+  std::function<void(std::size_t, std::size_t)> body;
   std::atomic<std::size_t> remaining{0};
 
   // Deterministic error propagation: keep the exception of the lowest chunk
@@ -66,12 +66,12 @@ int TaskPool::default_workers() {
 
 bool TaskPool::in_task() { return tl_in_task; }
 
-void TaskPool::run_chunk(const Chunk& chunk, int lane) {
+void TaskPool::run_chunk(const Chunk& chunk) {
   Batch& b = *chunk.batch;
   const bool was_in_task = tl_in_task;
   tl_in_task = true;
   try {
-    b.body(chunk.begin, chunk.end, lane);
+    b.body(chunk.begin, chunk.end);
   } catch (...) {
     std::lock_guard<std::mutex> lk(b.err_mu);
     if (chunk.begin < b.err_index) {
@@ -122,7 +122,7 @@ bool TaskPool::try_run_one(int lane) {
     std::lock_guard<std::mutex> lk(wake_mu_);
     --queued_chunks_;
   }
-  run_chunk(chunk, lane);
+  run_chunk(chunk);
   return true;
 }
 
@@ -137,7 +137,7 @@ void TaskPool::worker_loop(int lane) {
 
 void TaskPool::execute(
     std::size_t n,
-    const std::function<void(std::size_t, std::size_t, int)>& body) {
+    const std::function<void(std::size_t, std::size_t)>& body) {
   W11_CHECK(!tl_in_task);  // nested calls take the inline path
 
   Batch batch;

@@ -9,10 +9,8 @@
 //   * parallel_for(n, body) runs body(i) exactly once per i; the caller
 //     blocks (and helps execute) until every index has finished;
 //   * parallel_map writes result i to slot i, so the output vector's order
-//     is the index order, never the completion order;
-//   * reductions (parallel_reduce, or any caller folding a parallel_map
-//     result) happen on the calling thread in ascending index order, so the
-//     floating-point accumulation order is fixed;
+//     is the index order, never the completion order — a caller folding it
+//     in ascending index order fixes the floating-point accumulation order;
 //   * if bodies throw, the exception propagated to the caller is the one
 //     raised by the *lowest* failing index (every chunk still runs), so
 //     error behavior does not depend on scheduling either.
@@ -29,11 +27,6 @@
 //     runs inline on the calling lane. Parallelism is spent at the
 //     outermost level, which is where the grain is coarsest; nesting is
 //     legal everywhere and never deadlocks.
-//   * Bodies may optionally take a second `int lane` argument in [0,
-//     workers()) identifying the executing lane, for indexing per-lane
-//     scratch. Lane 0 is the calling thread. Per-lane scratch sized off one
-//     parallel_for call is private to it; concurrent *external* callers
-//     sharing one pool both present as lane 0 and must not share scratch.
 
 #include <condition_variable>
 #include <cstdint>
@@ -43,7 +36,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace w11::exec {
@@ -74,39 +66,26 @@ class TaskPool {
   // i.e. a parallel_for here would run inline.
   [[nodiscard]] static bool in_task();
 
-  // body(i) or body(i, lane) for every i in [0, n). Blocks until all
-  // indices completed; rethrows the lowest failing index's exception.
+  // body(i) for every i in [0, n). Blocks until all indices completed;
+  // rethrows the lowest failing index's exception.
   template <class F>
   void parallel_for(std::size_t n, F&& body) {
     if (inline_eligible(n)) {
-      for (std::size_t i = 0; i < n; ++i) invoke_body(body, i, 0);
+      for (std::size_t i = 0; i < n; ++i) body(i);
       return;
     }
-    execute(n, [&body](std::size_t begin, std::size_t end, int lane) {
-      for (std::size_t i = begin; i < end; ++i) invoke_body(body, i, lane);
+    execute(n, [&body](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) body(i);
     });
   }
 
-  // out[i] = body(i) (or body(i, lane)); output in index order regardless
-  // of completion order. T must be default-constructible.
+  // out[i] = body(i); output in index order regardless of completion
+  // order. T must be default-constructible.
   template <class T, class F>
   [[nodiscard]] std::vector<T> parallel_map(std::size_t n, F&& body) {
     std::vector<T> out(n);
-    parallel_for(n, [&out, &body](std::size_t i, int lane) {
-      out[i] = invoke_body(body, i, lane);
-    });
+    parallel_for(n, [&out, &body](std::size_t i) { out[i] = body(i); });
     return out;
-  }
-
-  // Ordered reduction: maps in parallel, folds on the calling thread in
-  // ascending index order (fixed FP accumulation order).
-  template <class T, class Map, class Reduce>
-  [[nodiscard]] T parallel_reduce(std::size_t n, T init, Map&& map,
-                                  Reduce&& reduce) {
-    std::vector<T> vals = parallel_map<T>(n, std::forward<Map>(map));
-    T acc = std::move(init);
-    for (T& v : vals) acc = reduce(std::move(acc), std::move(v));
-    return acc;
   }
 
  private:
@@ -120,26 +99,17 @@ class TaskPool {
     std::deque<Chunk> deque;  // owner pops back, thieves steal front
   };
 
-  template <class F>
-  static decltype(auto) invoke_body(F& body, std::size_t i, int lane) {
-    if constexpr (std::is_invocable_v<F&, std::size_t, int>) {
-      return body(i, lane);
-    } else {
-      return body(i);
-    }
-  }
-
   [[nodiscard]] bool inline_eligible(std::size_t n) const {
     return n_lanes_ == 1 || n < 2 || in_task();
   }
 
   // Split [0, n) into chunks, distribute across lanes, help until done.
   void execute(std::size_t n,
-               const std::function<void(std::size_t, std::size_t, int)>& body);
+               const std::function<void(std::size_t, std::size_t)>& body);
 
   void worker_loop(int lane);
   bool try_run_one(int lane);
-  void run_chunk(const Chunk& chunk, int lane);
+  void run_chunk(const Chunk& chunk);
 
   int n_lanes_ = 1;
   std::vector<std::unique_ptr<Lane>> lanes_;

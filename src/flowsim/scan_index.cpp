@@ -4,7 +4,6 @@
 #include <cstring>
 #include <numeric>
 
-#include "exec/task_pool.hpp"
 #include "obs/gate.hpp"
 
 // The aggregate rows feed the planner's bit-for-bit contracts (golden plan
@@ -42,7 +41,7 @@ std::uint64_t ScanStatsCache::content_hash(const ApScan& s) {
 }
 
 ScanIndex::ScanIndex(std::vector<ApScan> scans, Dbm contender_rssi_floor,
-                     exec::TaskPool* pool, ScanStatsCache* stats_cache)
+                     ScanStatsCache* stats_cache)
     : scans_(std::move(scans)), floor_(contender_rssi_floor) {
   const std::size_t n = scans_.size();
   n_ordinals_ = channels::catalog_size();
@@ -102,11 +101,9 @@ ScanIndex::ScanIndex(std::vector<ApScan> scans, Dbm contender_rssi_floor,
             static_cast<int>(channels::by_ordinal(ord).width) + 1);
   }
 
-  // Cross-epoch aggregate reuse: probe the cache serially (it is not
-  // thread-safe), remember per-AP hits, and insert freshly computed rows
-  // after the parallel fill. Hit rows are copied inside the task — reads of
-  // immutable cached rows are race-free. A probe hit also refreshes the
-  // row's LRU position; probes run in scan order, so recency is
+  // Cross-epoch aggregate reuse: probe the cache, remember per-AP hits, and
+  // insert freshly computed rows after the fill. A probe hit also refreshes
+  // the row's LRU position; probes run in scan order, so recency is
   // deterministic. No map insertion happens between here and the fill, so
   // the row data pointers stay valid.
   std::vector<const ChannelStats*> cached_row(n, nullptr);
@@ -129,8 +126,8 @@ ScanIndex::ScanIndex(std::vector<ApScan> scans, Dbm contender_rssi_floor,
     }
   }
 
-  // Flat term arrays: per-candidate offsets first (serial prefix sums), the
-  // fill itself rides the per-AP parallel tasks below.
+  // Flat term arrays: per-candidate offsets first (prefix sums), then the
+  // per-AP fill below.
   cand_term_begin_.resize(cand_slots_ + 1);
   term_load_.resize(n_terms);
   term_ext_.resize(n_terms);
@@ -153,14 +150,10 @@ ScanIndex::ScanIndex(std::vector<ApScan> scans, Dbm contender_rssi_floor,
   }
 
   // Per-catalog-channel aggregates + SoA term fill: the dominant build
-  // cost, fanned out one AP per task. Task i writes only row i's slice of
-  // stats_ and its own term-array slice, and each cell is a pure function
-  // of (scan i, catalog channel), so the fill is race-free and
-  // bit-identical at any worker count.
+  // cost. Each cell is a pure function of (scan i, catalog channel).
   const std::int16_t* sub_table = channels::sub_channel_table();
   const std::size_t sub_stride = channels::sub_channel_stride();
-  exec::TaskPool& tp = pool ? *pool : exec::TaskPool::global();
-  tp.parallel_for(n, [&, this](std::size_t i) {
+  for (std::size_t i = 0; i < n; ++i) {
     const ApScan& s = scans_[i];
     ChannelStats* row = stats_.data() + i * n_ordinals_;
     if (cached_row[i] != nullptr) {
@@ -188,13 +181,12 @@ ScanIndex::ScanIndex(std::vector<ApScan> scans, Dbm contender_rssi_floor,
         term_sub_[t] = sub;
       }
     }
-  });
+  }
 
   if (stats_cache != nullptr && stats_cache->capacity_ > 0) {
     // Retain the freshly computed rows, evicting least-recently-touched
-    // entries once the bound is hit. Inserts run in scan order on this
-    // thread, so what survives is a pure function of the probe/insert
-    // history — deterministic at any worker count. Duplicate content
+    // entries once the bound is hit. Inserts run in scan order, so what
+    // survives is a pure function of the probe/insert history. Duplicate content
     // within the epoch (two APs with identical spectrum maps) collapses to
     // one row; the repeat just refreshes recency.
     for (std::size_t i = 0; i < n; ++i) {

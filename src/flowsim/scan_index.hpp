@@ -33,10 +33,6 @@
 #include "flowsim/scan.hpp"
 #include "phy/channel.hpp"
 
-namespace w11::exec {
-class TaskPool;
-}
-
 namespace w11::flowsim {
 
 // Spectrum aggregates of one catalog channel as seen by one AP. Defined at
@@ -64,8 +60,7 @@ struct ScanChannelStats {
 // *contents* never change while resident; eviction only forgets, so a later
 // rebuild recomputes the identical bytes.
 //
-// Not thread-safe; probe/insert happen on the index-building thread only
-// (the parallel stats fill reads rows, which is safe — they never mutate).
+// Not thread-safe; probe/insert happen on the index-building thread only.
 class ScanStatsCache {
  public:
   // capacity = max resident rows; 0 disables retention entirely (every
@@ -109,16 +104,14 @@ class ScanIndex {
     bool contender;       // rssi >= the contender RSSI floor
   };
 
-  // Construction fans the per-(AP, catalog channel) aggregate fill — the
-  // dominant build cost — out over `pool` (nullptr = the global pool). Every
-  // task writes only its own AP's slice, so the result is identical at any
-  // worker count. An optional ScanStatsCache (owned by the caller, one per
-  // long-lived service) lets APs whose spectrum content is unchanged across
-  // epochs copy their aggregate row instead of recomputing it.
+  // An optional ScanStatsCache (owned by the caller, one per long-lived
+  // service) lets APs whose spectrum content is unchanged across epochs
+  // copy their per-(AP, catalog channel) aggregate row — the dominant
+  // build cost — instead of recomputing it.
   explicit ScanIndex(
       std::vector<ApScan> scans,
       Dbm contender_rssi_floor = -std::numeric_limits<double>::infinity(),
-      exec::TaskPool* pool = nullptr, ScanStatsCache* stats_cache = nullptr);
+      ScanStatsCache* stats_cache = nullptr);
 
   [[nodiscard]] std::size_t size() const { return scans_.size(); }
   [[nodiscard]] const std::vector<ApScan>& scans() const { return scans_; }

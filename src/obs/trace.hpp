@@ -59,7 +59,6 @@ enum class TraceKind : std::uint16_t {
   kFastAckFlowEvicted,     // idle-timeout or capacity GC; a = fack
   // planner
   kNboRound,        // one NBO round; ord = round, a = picks, b = accepted
-  kNboBatch,        // one speculative commit batch; a = batch size
   kNboPick,         // one committed ACC decision; a = AP index, b = switched
   // telemetry
   kCollectorPoll,   // one collector polling interval; a = rows, b = dropped
@@ -96,7 +95,6 @@ enum class TraceCategory : std::uint8_t { kSim, kMac, kFastAck, kPlanner, kTelem
     case TraceKind::kFastAckMpduDropped: return "fastack.mpdu_dropped";
     case TraceKind::kFastAckFlowEvicted: return "fastack.flow_evicted";
     case TraceKind::kNboRound: return "planner.nbo_round";
-    case TraceKind::kNboBatch: return "planner.nbo_batch";
     case TraceKind::kNboPick: return "planner.nbo_pick";
     case TraceKind::kCollectorPoll: return "telemetry.poll";
     case TraceKind::kRolloutApply: return "ctrl.rollout_apply";
@@ -130,7 +128,6 @@ enum class TraceCategory : std::uint8_t { kSim, kMac, kFastAck, kPlanner, kTelem
     case TraceKind::kFastAckMpduDropped:
     case TraceKind::kFastAckFlowEvicted: return TraceCategory::kFastAck;
     case TraceKind::kNboRound:
-    case TraceKind::kNboBatch:
     case TraceKind::kNboPick: return TraceCategory::kPlanner;
     case TraceKind::kCollectorPoll: return TraceCategory::kTelemetry;
     case TraceKind::kRolloutApply:

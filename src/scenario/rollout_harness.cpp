@@ -65,7 +65,6 @@ RolloutScenarioResult run_rollout_scenario(const RolloutScenarioConfig& cfg) {
                                Rng(cfg.net_seed * 31 + 7));
   turboca::TurboCaService svc({}, sched, deg.hooks(), Rng(cfg.net_seed));
   svc_ptr = &svc;
-  if (cfg.pool != nullptr) svc.engine().set_pool(cfg.pool);
 
   // --- rollout coordinator ------------------------------------------------
   ctrl::RolloutCoordinator::Hooks rh;
@@ -99,11 +98,10 @@ RolloutScenarioResult run_rollout_scenario(const RolloutScenarioConfig& cfg) {
   if (cfg.health) {
     // A health run owns the process-global tracer/metrics registries:
     // reset both so bundle bytes depend only on this scenario, bind the
-    // tracer clock to sim time, and mask the two schedule-dependent
-    // categories — the kSim firehose (per-lane ring overflow varies with
-    // the schedule) and kPlanner (its batch events encode how scoring work
-    // was sharded across workers). Planner *decisions* still reach the
-    // postmortem worker-invariantly through the plan_audit section below.
+    // tracer clock to sim time, and mask two categories — the kSim
+    // firehose (per-lane ring overflow varies with the schedule) and
+    // kPlanner (its pick events repeat, at far higher volume, what the
+    // plan_audit section below records).
     obs::tracer().clear();
     obs::tracer().set_enabled(true);
     obs::tracer().set_category_mask(

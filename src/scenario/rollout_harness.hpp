@@ -25,7 +25,6 @@
 #include "ctrl/applier.hpp"
 #include "ctrl/control_channel.hpp"
 #include "ctrl/rollout.hpp"
-#include "exec/task_pool.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
 #include "flowsim/scan.hpp"
@@ -53,7 +52,6 @@ struct RolloutScenarioConfig {
   // Retention on the collector's ap_stats table (exercises trim under the
   // validation reads); max_rows 0 / max_age 0 = unbounded.
   Time telemetry_max_age = time::hours(1);
-  exec::TaskPool* pool = nullptr;  // planner scoring pool; nullptr = global
 
   // --- fleet health engine + flight recorder (DESIGN.md §17) ---------------
   // When true (and the build has W11_OBS), the run stands up a HealthEngine

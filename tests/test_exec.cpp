@@ -45,21 +45,6 @@ TEST(TaskPool, WorkersReportsLanesIncludingCaller) {
   EXPECT_GE(TaskPool(0).workers(), 1);  // 0 -> default_workers()
 }
 
-TEST(TaskPool, LaneArgumentIsInRangeAndLaneZeroIsCaller) {
-  TaskPool pool(4);
-  constexpr std::size_t kN = 5'000;
-  std::vector<int> lane_of(kN, -1);
-  pool.parallel_for(kN, [&](std::size_t i, int lane) { lane_of[i] = lane; });
-  for (std::size_t i = 0; i < kN; ++i) {
-    ASSERT_GE(lane_of[i], 0);
-    ASSERT_LT(lane_of[i], pool.workers());
-  }
-
-  // The serial pool executes everything on the caller, lane 0.
-  TaskPool serial(1);
-  serial.parallel_for(8, [&](std::size_t, int lane) { EXPECT_EQ(lane, 0); });
-}
-
 TEST(TaskPool, ParallelMapPreservesIndexOrder) {
   TaskPool pool(4);
   constexpr std::size_t kN = 4'096;
@@ -71,9 +56,10 @@ TEST(TaskPool, ParallelMapPreservesIndexOrder) {
 
 // -------------------------------------------------------- determinism --
 
-// Sums whose value depends on FP accumulation order: if the reduction ever
-// folded in completion order, different worker counts would disagree in the
-// low bits. Require bitwise equality with the serial fold.
+// Sums whose value depends on FP accumulation order: map on the pool, fold
+// the index-ordered result on the caller (the bench_stability pattern). If
+// slots ever landed in completion order, different worker counts would
+// disagree in the low bits. Require bitwise equality with the serial fold.
 TEST(TaskPool, OrderedReductionIsBitIdenticalAcrossWorkerCounts) {
   constexpr std::size_t kN = 20'000;
   auto term = [](std::size_t i) {
@@ -86,8 +72,8 @@ TEST(TaskPool, OrderedReductionIsBitIdenticalAcrossWorkerCounts) {
 
   for (int workers : {1, 2, 4, 8}) {
     TaskPool pool(workers);
-    const double got = pool.parallel_reduce<double>(
-        kN, 0.0, term, [](double a, double b) { return a + b; });
+    double got = 0.0;
+    for (const double v : pool.parallel_map<double>(kN, term)) got += v;
     ASSERT_EQ(serial, got) << "FP sum diverged at " << workers << " workers";
   }
 }
@@ -171,10 +157,12 @@ TEST(TaskPoolStress, ManySmallBatchesAreCoherent) {
 TEST(TaskPoolStress, LargeBatchReductionMatchesSerial) {
   TaskPool pool(8);
   constexpr std::size_t kN = 200'000;
-  const std::uint64_t got = pool.parallel_reduce<std::uint64_t>(
-      kN, std::uint64_t{0},
-      [](std::size_t i) { return static_cast<std::uint64_t>(i) ^ (i << 7); },
-      [](std::uint64_t a, std::uint64_t b) { return a + b; });
+  std::uint64_t got = 0;
+  for (const std::uint64_t v : pool.parallel_map<std::uint64_t>(
+           kN, [](std::size_t i) {
+             return static_cast<std::uint64_t>(i) ^ (i << 7);
+           }))
+    got += v;
   std::uint64_t want = 0;
   for (std::size_t i = 0; i < kN; ++i)
     want += static_cast<std::uint64_t>(i) ^ (i << 7);

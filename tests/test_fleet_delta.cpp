@@ -399,8 +399,8 @@ TEST(FleetDeltaCacheTest, EvictionIsBoundedAndDeterministic) {
     flowsim::ScanStatsCache cache(2);
     std::vector<ApScan> scans = {ap(0, {}, 0.1), ap(1, {}, 0.2),
                                  ap(2, {}, 0.3)};
-    flowsim::ScanIndex first(scans, kFloor, nullptr, &cache);
-    flowsim::ScanIndex second(scans, kFloor, nullptr, &cache);
+    flowsim::ScanIndex first(scans, kFloor, &cache);
+    flowsim::ScanIndex second(scans, kFloor, &cache);
     EXPECT_LE(cache.size(), 2u);
     return cache.stats();
   };

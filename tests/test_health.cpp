@@ -1,9 +1,9 @@
 // Fleet health engine (DESIGN.md §17): SLI sliding windows, multi-window
 // burn-rate SLO evaluation, and the anomaly flight recorder — up to the
 // headline determinism property: a chaos-soak auto-revert produces a
-// postmortem bundle that is byte-identical at 1/2/4/8 planner workers and
-// correlates the rollout audit, the planner decision audit, and the trace
-// stream around the trigger.
+// postmortem bundle that is byte-identical from run to run and correlates
+// the rollout audit, the planner decision audit, and the trace stream
+// around the trigger.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/time.hpp"
-#include "exec/task_pool.hpp"
 #include "fault/fault_plan.hpp"
 #include "obs/gate.hpp"
 #include "scenario/rollout_harness.hpp"
@@ -282,7 +281,7 @@ TEST(FlightRecorder, MaxBundlesEvictsOldestPostmortem) {
 // The chaos shape of tests/test_rollout.cpp's soak, plus a fleet-wide
 // control partition that outlasts the watchdog so the first rollout is
 // guaranteed to revert — the anomaly the flight recorder exists for.
-scenario::RolloutScenarioConfig chaos_health_config(exec::TaskPool* pool) {
+scenario::RolloutScenarioConfig chaos_health_config() {
   scenario::RolloutScenarioConfig cfg;
   cfg.n_aps = 10;
   cfg.net_seed = 1;
@@ -308,18 +307,15 @@ scenario::RolloutScenarioConfig chaos_health_config(exec::TaskPool* pool) {
     cfg.faults.link_outage(time::minutes(15) + time::seconds(30), ap,
                            time::minutes(11));
   cfg.health = true;
-  cfg.pool = pool;
   return cfg;
 }
 
-TEST(FlightRecorderScenario, ChaosRevertPostmortemIsByteIdenticalAcrossWorkers) {
+TEST(FlightRecorderScenario, ChaosRevertPostmortemIsByteIdenticalAcrossRuns) {
   std::vector<std::string> base_postmortems;
   std::string base_events;
-  for (const int workers : {1, 2, 4, 8}) {
-    exec::TaskPool pool(workers);
-    const auto r =
-        scenario::run_rollout_scenario(chaos_health_config(&pool));
-    SCOPED_TRACE(workers);
+  for (const int run : {0, 1}) {
+    const auto r = scenario::run_rollout_scenario(chaos_health_config());
+    SCOPED_TRACE(run);
     EXPECT_TRUE(r.converged);
     EXPECT_GT(r.rollout.reverted, 0u);
     EXPECT_GT(r.health_breaches, 0u);
@@ -341,7 +337,7 @@ TEST(FlightRecorderScenario, ChaosRevertPostmortemIsByteIdenticalAcrossWorkers) 
     for (const std::string& b : r.postmortems)
       reverts_in_bundles += count_of(b, "\"event\":\"revert\"");
     EXPECT_GT(reverts_in_bundles, 0u);
-    if (workers == 1) {
+    if (run == 0) {
       base_postmortems = r.postmortems;
       base_events = r.health_events_jsonl;
       EXPECT_FALSE(base_events.empty());
@@ -353,13 +349,11 @@ TEST(FlightRecorderScenario, ChaosRevertPostmortemIsByteIdenticalAcrossWorkers) 
 }
 
 TEST(HealthScenario, QuietRunPagesNothingAndDumpsNothing) {
-  exec::TaskPool pool(2);
   scenario::RolloutScenarioConfig cfg;  // no faults at all
   cfg.n_aps = 8;
   cfg.horizon = time::hours(1);
   cfg.poll = time::minutes(1);
   cfg.health = true;
-  cfg.pool = &pool;
   const auto r = scenario::run_rollout_scenario(cfg);
   EXPECT_TRUE(r.converged);
   EXPECT_EQ(r.health_breaches, 0u);
@@ -371,7 +365,6 @@ TEST(HealthScenario, QuietRunPagesNothingAndDumpsNothing) {
 }
 
 TEST(HealthScenario, PostmortemOnFaultDumpsOnInjectedRadar) {
-  exec::TaskPool pool(2);
   scenario::RolloutScenarioConfig cfg;
   cfg.n_aps = 8;
   cfg.horizon = time::hours(1);
@@ -379,7 +372,6 @@ TEST(HealthScenario, PostmortemOnFaultDumpsOnInjectedRadar) {
   cfg.faults.radar(time::minutes(20), 3);
   cfg.health = true;
   cfg.postmortem_on_fault = true;
-  cfg.pool = &pool;
   const auto r = scenario::run_rollout_scenario(cfg);
   ASSERT_FALSE(r.postmortems.empty());
   bool fault_bundle = false;

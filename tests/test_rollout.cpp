@@ -1,13 +1,14 @@
 // src/ctrl/ rollout pipeline tests: the versioned plan store, the lossy
 // control channel, the retry/backoff applier, the staged coordinator with
 // auto-revert, and the end-to-end chaos soak whose one invariant is "no AP
-// is ever left half-applied" — plus byte-identical rollout audits at any
-// worker count.
+// is ever left half-applied" — plus byte-identical rollout audits from the
+// same seeds, at any number of workers running scenarios side by side.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "ctrl/applier.hpp"
@@ -545,33 +546,53 @@ TEST(RolloutChaosSoak, EveryApConvergesAcrossSeedAndFaultPlans) {
 }
 
 TEST(RolloutChaosSoak, ScenarioIsExactlyReproducible) {
-  const auto a = scenario::run_rollout_scenario(soak_config(1, 43));
-  const auto b = scenario::run_rollout_scenario(soak_config(1, 43));
-  EXPECT_EQ(a.audit_jsonl, b.audit_jsonl);
-  EXPECT_EQ(a.fault_log, b.fault_log);
-  EXPECT_EQ(a.final_plan, b.final_plan);
-  EXPECT_EQ(a.convergence_s, b.convergence_s);
-  EXPECT_EQ(a.apply.commands_sent, b.apply.commands_sent);
+  for (const auto& [net_seed, plan_seed] :
+       {std::pair<std::uint64_t, std::uint64_t>{1, 43}, {2, 47}}) {
+    SCOPED_TRACE(testing::Message() << "net " << net_seed << " plan "
+                                    << plan_seed);
+    const auto a =
+        scenario::run_rollout_scenario(soak_config(net_seed, plan_seed));
+    const auto b =
+        scenario::run_rollout_scenario(soak_config(net_seed, plan_seed));
+    EXPECT_FALSE(a.audit_jsonl.empty());
+    EXPECT_EQ(a.audit_jsonl, b.audit_jsonl);
+    EXPECT_EQ(a.fault_log, b.fault_log);
+    EXPECT_EQ(a.final_plan, b.final_plan);
+    EXPECT_EQ(a.convergence_s, b.convergence_s);
+    EXPECT_EQ(a.last_known_good, b.last_known_good);
+    EXPECT_EQ(a.apply.commands_sent, b.apply.commands_sent);
+  }
 }
 
 TEST(RolloutChaosSoak, AuditIsByteIdenticalAcrossWorkerCounts) {
-  // The planner's proposal scoring is the only pool-sharded stage in the
-  // loop; the rollout audit (and everything downstream of the plans) must
-  // not care how many workers scored them.
+  // The planner kernel is serial; parallelism lives one level up, one task
+  // per scenario. Running several scenarios at once as tasks on a 4-worker
+  // pool must leave every rollout audit byte-identical to a serial run.
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> seeds = {
+      {2, 47}, {1, 43}, {2, 45}, {1, 41}};
+  const auto run_all = [&seeds](exec::TaskPool& pool) {
+    return pool.parallel_map<scenario::RolloutScenarioResult>(
+        seeds.size(), [&seeds](std::size_t i) {
+          return scenario::run_rollout_scenario(
+              soak_config(seeds[i].first, seeds[i].second));
+        });
+  };
   exec::TaskPool one(1);
   exec::TaskPool four(4);
-  auto cfg1 = soak_config(2, 47);
-  cfg1.pool = &one;
-  auto cfg4 = soak_config(2, 47);
-  cfg4.pool = &four;
-  const auto a = scenario::run_rollout_scenario(cfg1);
-  const auto b = scenario::run_rollout_scenario(cfg4);
-  EXPECT_EQ(a.audit_jsonl, b.audit_jsonl);
-  EXPECT_FALSE(a.audit_jsonl.empty());
-  EXPECT_EQ(a.final_plan, b.final_plan);
-  EXPECT_EQ(a.fault_log, b.fault_log);
-  EXPECT_EQ(a.convergence_s, b.convergence_s);
-  EXPECT_EQ(a.last_known_good, b.last_known_good);
+  const auto a = run_all(one);
+  const auto b = run_all(four);
+  ASSERT_EQ(a.size(), seeds.size());
+  ASSERT_EQ(b.size(), seeds.size());
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "net " << seeds[i].first << " plan "
+                                    << seeds[i].second);
+    EXPECT_FALSE(a[i].audit_jsonl.empty());
+    EXPECT_EQ(a[i].audit_jsonl, b[i].audit_jsonl);
+    EXPECT_EQ(a[i].final_plan, b[i].final_plan);
+    EXPECT_EQ(a[i].fault_log, b[i].fault_log);
+    EXPECT_EQ(a[i].convergence_s, b[i].convergence_s);
+    EXPECT_EQ(a[i].last_known_good, b[i].last_known_good);
+  }
 }
 
 TEST(RolloutChaosSoak, RevertsActuallyHappenSomewhereInTheGrid) {

@@ -238,13 +238,11 @@ TEST(ScoreKernel, StatsCacheHitsAreBitIdentical) {
   const Params params;
   const std::vector<ApScan> scans = campus_scans(30, 13);
   flowsim::ScanStatsCache cache;
-  const flowsim::ScanIndex cold(scans, params.neighbor_rssi_floor, nullptr,
-                                &cache);
+  const flowsim::ScanIndex cold(scans, params.neighbor_rssi_floor, &cache);
   EXPECT_EQ(cache.stats().hits, 0u);
   EXPECT_EQ(cache.stats().misses, scans.size());
 
-  const flowsim::ScanIndex warm(scans, params.neighbor_rssi_floor, nullptr,
-                                &cache);
+  const flowsim::ScanIndex warm(scans, params.neighbor_rssi_floor, &cache);
   EXPECT_EQ(cache.stats().hits, scans.size());
   const std::size_t n_ords = channels::catalog_size();
   for (std::size_t i = 0; i < scans.size(); ++i)
@@ -262,20 +260,17 @@ TEST(ScoreKernel, StatsCacheMissesOnContentChangeOnly) {
   const Params params;
   std::vector<ApScan> scans = campus_scans(20, 17);
   flowsim::ScanStatsCache cache;
-  { const flowsim::ScanIndex i0(scans, params.neighbor_rssi_floor, nullptr,
-                                &cache); }
+  { const flowsim::ScanIndex i0(scans, params.neighbor_rssi_floor, &cache); }
   // Mutating fields the aggregates do not read (loads, neighbors) keeps
   // every row a hit; touching one AP's spectrum misses exactly that AP.
   scans[3].load_by_width[ChannelWidth::MHz20] += 1.0;
   scans[5].neighbors.push_back(NeighborReport{scans[0].id, -55.0});
-  { const flowsim::ScanIndex i1(scans, params.neighbor_rssi_floor, nullptr,
-                                &cache); }
+  { const flowsim::ScanIndex i1(scans, params.neighbor_rssi_floor, &cache); }
   EXPECT_EQ(cache.stats().hits, scans.size());
   EXPECT_EQ(cache.stats().misses, scans.size());
 
   scans[7].external_util[36] = 0.77;
-  { const flowsim::ScanIndex i2(scans, params.neighbor_rssi_floor, nullptr,
-                                &cache); }
+  { const flowsim::ScanIndex i2(scans, params.neighbor_rssi_floor, &cache); }
   EXPECT_EQ(cache.stats().hits, 2 * scans.size() - 1);
   EXPECT_EQ(cache.stats().misses, scans.size() + 1);
 }
@@ -289,14 +284,12 @@ TEST(ScoreKernel, StatsCacheRespectsCapacity) {
   Rng rng(23);
   const std::vector<ApScan> scans = hostile_scans(20, rng, false);
   flowsim::ScanStatsCache cache(/*capacity=*/4);
-  { const flowsim::ScanIndex i0(scans, params.neighbor_rssi_floor, nullptr,
-                                &cache); }
+  { const flowsim::ScanIndex i0(scans, params.neighbor_rssi_floor, &cache); }
   EXPECT_EQ(cache.size(), 4u);
   EXPECT_EQ(cache.stats().evictions, 16u);
   // Still correct, just smaller: a second build hits on the retained rows
   // (the most recently inserted ones — APs 16..19).
-  { const flowsim::ScanIndex i1(scans, params.neighbor_rssi_floor, nullptr,
-                                &cache); }
+  { const flowsim::ScanIndex i1(scans, params.neighbor_rssi_floor, &cache); }
   EXPECT_EQ(cache.stats().hits, 4u);
   EXPECT_EQ(cache.size(), 4u);
 }
@@ -309,8 +302,8 @@ TEST(ScoreKernel, StatsCacheLruEvictionIsDeterministic) {
   // survivor set — eviction is a pure function of the access sequence.
   flowsim::ScanStatsCache a(/*capacity=*/5), b(/*capacity=*/5);
   for (int round = 0; round < 3; ++round) {
-    const flowsim::ScanIndex ia(scans, params.neighbor_rssi_floor, nullptr, &a);
-    const flowsim::ScanIndex ib(scans, params.neighbor_rssi_floor, nullptr, &b);
+    const flowsim::ScanIndex ia(scans, params.neighbor_rssi_floor, &a);
+    const flowsim::ScanIndex ib(scans, params.neighbor_rssi_floor, &b);
   }
   EXPECT_EQ(a.stats().hits, b.stats().hits);
   EXPECT_EQ(a.stats().misses, b.stats().misses);
@@ -321,20 +314,16 @@ TEST(ScoreKernel, StatsCacheLruEvictionIsDeterministic) {
   // A probed row is MRU: with capacity == fleet size, re-building keeps
   // every row resident and evicts nothing further.
   flowsim::ScanStatsCache c(/*capacity=*/12);
-  { const flowsim::ScanIndex i0(scans, params.neighbor_rssi_floor, nullptr,
-                                &c); }
+  { const flowsim::ScanIndex i0(scans, params.neighbor_rssi_floor, &c); }
   const std::uint64_t evictions_cold = c.stats().evictions;
-  { const flowsim::ScanIndex i1(scans, params.neighbor_rssi_floor, nullptr,
-                                &c); }
+  { const flowsim::ScanIndex i1(scans, params.neighbor_rssi_floor, &c); }
   EXPECT_EQ(c.stats().evictions, evictions_cold);
   EXPECT_EQ(c.stats().hits, 12u);
 
   // capacity 0 disables retention: every probe misses, nothing resident.
   flowsim::ScanStatsCache off(/*capacity=*/0);
-  { const flowsim::ScanIndex i0(scans, params.neighbor_rssi_floor, nullptr,
-                                &off); }
-  { const flowsim::ScanIndex i1(scans, params.neighbor_rssi_floor, nullptr,
-                                &off); }
+  { const flowsim::ScanIndex i0(scans, params.neighbor_rssi_floor, &off); }
+  { const flowsim::ScanIndex i1(scans, params.neighbor_rssi_floor, &off); }
   EXPECT_EQ(off.stats().hits, 0u);
   EXPECT_EQ(off.size(), 0u);
 }
