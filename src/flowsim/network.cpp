@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/check.hpp"
+#include "obs/gate.hpp"
 #include "phy/mcs.hpp"
 
 namespace w11::flowsim {
@@ -32,7 +33,11 @@ const ApMetrics& Evaluation::of(ApId id) const {
   throw std::logic_error("Evaluation::of: unknown AP");
 }
 
-Network::Network(Config cfg) : cfg_(cfg), rng_(cfg.seed) {}
+Network::Network(Config cfg) : cfg_(cfg), rng_(cfg.seed) {
+  for (std::size_t w = 0; w < noise_mw_.size(); ++w)
+    noise_mw_[w] =
+        dbm_to_mw(cfg_.prop.noise_floor(static_cast<ChannelWidth>(w)));
+}
 
 ApId Network::add_ap(Position pos, ChannelWidth max_width, Channel initial,
                      bool dfs_capable) {
@@ -43,8 +48,45 @@ ApId Network::add_ap(Position pos, ChannelWidth max_width, Channel initial,
   node.max_width = max_width;
   node.channel = initial;
   node.dfs_capable = dfs_capable;
+
+  // Both directions of every pair, each with the argument order of the
+  // query it answers: the CS test runs listener -> other, the received
+  // power other -> listener.
+  const auto m = static_cast<std::uint32_t>(aps_.size());
+  LinkBudget own;
+  for (std::uint32_t j = 0; j < m; ++j) {
+    const Db loss_mj = cfg_.prop.path_loss(pos, aps_[j].pos, cfg_.band);
+    const Db loss_jm = cfg_.prop.path_loss(aps_[j].pos, pos, cfg_.band);
+    file_ap_link(own, j, loss_mj, loss_jm);
+    file_ap_link(links_[j], m, loss_jm, loss_mj);
+  }
+  for (std::uint32_t k = 0; k < interferers_.size(); ++k)
+    file_interferer_link(own, k, pos);
+  W11_COUNT_N("flowsim.link_budgets", 2 * m + interferers_.size());
+
   aps_.push_back(std::move(node));
+  links_.push_back(std::move(own));
   return aps_.back().id;
+}
+
+void Network::file_ap_link(LinkBudget& a, std::uint32_t from, Db cs_loss,
+                           Db rx_loss) const {
+  const Dbm rx = kApTxPowerDbm - rx_loss;
+  if (kApTxPowerDbm - cs_loss > cfg_.cs_threshold)
+    a.cs_aps.push_back({from, rx});
+  else
+    a.far_aps.push_back({from, dbm_to_mw(rx)});
+}
+
+void Network::file_interferer_link(LinkBudget& a, std::uint32_t k,
+                                   const Position& ap_pos) const {
+  const ExternalInterferer& intf = interferers_[k];
+  const Dbm p =
+      intf.tx_power - cfg_.prop.path_loss(intf.pos, ap_pos, cfg_.band);
+  if (p > cfg_.cs_threshold)
+    a.cs_interferers.push_back(k);
+  else
+    a.far_interferers.push_back({k, dbm_to_mw(p)});
 }
 
 StationId Network::add_client(ApId ap, Position pos, ClientCapability cap,
@@ -55,13 +97,37 @@ StationId Network::add_client(ApId ap, Position pos, ClientCapability cap,
   cl.cap = cap;
   cl.offered_mbps = offered_mbps;
   cl.base_offered_mbps = offered_mbps;
+
+  const ApNode& node = ap_of(ap);
+  ClientLink link;
+  link.loss_down = cfg_.prop.path_loss(node.pos, pos, cfg_.band);
+  link.loss_up = cfg_.prop.path_loss(pos, node.pos, cfg_.band);
+  // The efficiency denominator is the max rate "supported by both for a
+  // particular association" (§4.6.2): associations are established at the
+  // AP's *operating* width, so the metric is width-neutral and measures how
+  // close the link runs to its SINR-free ceiling — contention and
+  // interference are what drag it down.
+  for (std::size_t w = 0; w < link.max_rate.size(); ++w) {
+    ApCapability ap_cap;  // 3x3 wave-2
+    ap_cap.max_width = static_cast<ChannelWidth>(w);
+    link.max_rate[w] =
+        mcs::max_rate(ap_cap.to_mcs_capability(), cap.to_mcs_capability())
+            .mbps();
+  }
+  W11_COUNT_N("flowsim.link_budgets", 2);
+
   ap_of_mut(ap).clients.push_back(std::move(cl));
+  links_[ap.value()].clients.push_back(link);
   return ap_of(ap).clients.back().id;
 }
 
 void Network::add_interferer(ExternalInterferer intf) {
   W11_CHECK(intf.channel.band == cfg_.band);
+  const auto k = static_cast<std::uint32_t>(interferers_.size());
   interferers_.push_back(intf);
+  for (std::size_t i = 0; i < aps_.size(); ++i)
+    file_interferer_link(links_[i], k, aps_[i].pos);
+  W11_COUNT_N("flowsim.link_budgets", aps_.size());
 }
 
 void Network::scale_offered_load(double factor) {
@@ -200,29 +266,23 @@ ApNode& Network::ap_of_mut(ApId id) {
   return aps_[id.value()];
 }
 
-bool Network::in_cs_range(const ApNode& a, const ApNode& b) const {
-  return cfg_.prop.rssi(kApTxPowerDbm, a.pos, b.pos, cfg_.band) >
-         cfg_.cs_threshold;
-}
-
-double Network::external_duty_at(const ApNode& a, const Channel& on) const {
+double Network::external_duty_at(std::size_t ap, const Channel& on) const {
   double duty = 0.0;
-  for (const auto& intf : interferers_) {
+  for (const std::uint32_t k : links_[ap].cs_interferers) {
+    const ExternalInterferer& intf = interferers_[k];
     if (!intf.channel.overlaps(on)) continue;
-    if (cfg_.prop.rssi(intf.tx_power, intf.pos, a.pos, cfg_.band) <=
-        cfg_.cs_threshold)
-      continue;
     duty += intf.duty_cycle * overlap_fraction(on, intf.channel);
   }
   return std::min(duty, 1.0);
 }
 
 double Network::client_phy_rate(const ApNode& ap, const ClientNode& cl,
+                                const ClientLink& link,
                                 double interference_mw,
                                 int cochannel_contenders) const {
   const ChannelWidth width = std::min(ap.channel.width, cl.cap.max_width);
-  const Dbm rssi = cfg_.prop.rssi(kApTxPowerDbm, ap.pos, cl.pos, cfg_.band);
-  const double noise_mw = dbm_to_mw(cfg_.prop.noise_floor(width));
+  const Dbm rssi = kApTxPowerDbm - link.loss_down;
+  const double noise_mw = noise_mw_[static_cast<std::size_t>(width)];
   const Db sinr = rssi - mw_to_dbm(noise_mw + interference_mw);
   // Rate controllers back off under contention: collisions and retries on
   // a crowded channel look like loss, so Minstrel-style adaptation settles
@@ -241,18 +301,6 @@ double Network::client_phy_rate(const ApNode& ap, const ClientNode& cl,
       .mbps();
 }
 
-double Network::client_max_rate(const ApNode& ap, const ClientNode& cl) const {
-  // The efficiency denominator is the max rate "supported by both for a
-  // particular association" (§4.6.2): associations are established at the
-  // AP's *operating* width, so the metric is width-neutral and measures how
-  // close the link runs to its SINR-free ceiling — contention and
-  // interference are what drag it down.
-  ApCapability ap_cap;  // 3x3 wave-2
-  ap_cap.max_width = ap.channel.width;
-  return mcs::max_rate(ap_cap.to_mcs_capability(), cl.cap.to_mcs_capability())
-      .mbps();
-}
-
 Evaluation Network::evaluate() const {
   const std::size_t n = aps_.size();
   Evaluation ev;
@@ -260,18 +308,14 @@ Evaluation Network::evaluate() const {
 
   // CS-coupled, channel-overlapping neighborhoods for the current plan.
   std::vector<std::vector<std::size_t>> nbrs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      if (aps_[i].channel.overlaps(aps_[j].channel) &&
-          in_cs_range(aps_[i], aps_[j]))
-        nbrs[i].push_back(j);
-    }
-  }
+  for (std::size_t i = 0; i < n; ++i)
+    for (const HeardAp& h : links_[i].cs_aps)
+      if (aps_[i].channel.overlaps(aps_[h.ap].channel))
+        nbrs[i].push_back(h.ap);
 
   std::vector<double> ext(n);
   for (std::size_t i = 0; i < n; ++i)
-    ext[i] = external_duty_at(aps_[i], aps_[i].channel);
+    ext[i] = external_duty_at(i, aps_[i].channel);
 
   // Two passes: rates -> airtime -> interference-adjusted rates -> airtime.
   std::vector<double> demand(n), share(n);
@@ -283,9 +327,11 @@ Evaluation Network::evaluate() const {
       const ApNode& ap = aps_[i];
       client_rate[i].clear();
       double d = 0.0;
-      for (const auto& cl : ap.clients) {
-        const double rate = client_phy_rate(
-            ap, cl, client_intf_mw[i], static_cast<int>(nbrs[i].size()));
+      for (std::size_t c = 0; c < ap.clients.size(); ++c) {
+        const ClientNode& cl = ap.clients[c];
+        const double rate =
+            client_phy_rate(ap, cl, links_[i].clients[c], client_intf_mw[i],
+                            static_cast<int>(nbrs[i].size()));
         client_rate[i].push_back(rate);
         d += cl.offered_mbps / std::max(rate * cfg_.mac_efficiency, 1.0);
       }
@@ -323,23 +369,19 @@ Evaluation Network::evaluate() const {
           continue;
         }
         // Use the AP's own position as a proxy for its clients' locations.
-        for (std::size_t j = 0; j < n; ++j) {
-          if (j == i) continue;
-          if (!aps_[i].channel.overlaps(aps_[j].channel)) continue;
-          if (in_cs_range(aps_[i], aps_[j])) continue;  // serialized by CSMA
-          const Dbm p =
-              cfg_.prop.rssi(kApTxPowerDbm, aps_[j].pos, aps_[i].pos, cfg_.band);
-          mw += dbm_to_mw(p) * share[j] *
-                overlap_fraction(aps_[i].channel, aps_[j].channel);
+        // APs in CS range are serialized by CSMA, so only far ones count.
+        for (const FarSource& f : links_[i].far_aps) {
+          const Channel& on = aps_[f.index].channel;
+          if (!aps_[i].channel.overlaps(on)) continue;
+          mw += f.rx_mw * share[f.index] *
+                overlap_fraction(aps_[i].channel, on);
         }
         // External interferers beyond carrier-sense range still radiate
         // into the cell and erode client SINR.
-        for (const auto& intf : interferers_) {
+        for (const FarSource& f : links_[i].far_interferers) {
+          const ExternalInterferer& intf = interferers_[f.index];
           if (!intf.channel.overlaps(aps_[i].channel)) continue;
-          const Dbm p =
-              cfg_.prop.rssi(intf.tx_power, intf.pos, aps_[i].pos, cfg_.band);
-          if (p > cfg_.cs_threshold) continue;  // in range -> serialized
-          mw += dbm_to_mw(p) * intf.duty_cycle *
+          mw += f.rx_mw * intf.duty_cycle *
                 overlap_fraction(aps_[i].channel, intf.channel);
         }
         client_intf_mw[i] = mw;
@@ -369,7 +411,8 @@ Evaluation Network::evaluate() const {
     for (std::size_t c = 0; c < ap.clients.size(); ++c) {
       const double rate = client_rate[i][c];
       rate_sum += rate;
-      const double max_rate = client_max_rate(ap, ap.clients[c]);
+      const double max_rate = links_[i].clients[c].max_rate[
+          static_cast<std::size_t>(ap.channel.width)];
       const double eff = max_rate > 0.0 ? std::min(1.0, rate / max_rate) : 0.0;
       m.client_efficiency.push_back(eff);
       eff_sum += eff;
@@ -395,6 +438,7 @@ Evaluation Network::evaluate() const {
 
 std::vector<ApScan> Network::scan() const {
   const Evaluation ev = evaluate();
+  const auto catalog = channels::us_catalog(cfg_.band, ChannelWidth::MHz20);
   std::vector<ApScan> scans;
   scans.reserve(aps_.size());
   for (std::size_t i = 0; i < aps_.size(); ++i) {
@@ -419,15 +463,12 @@ std::vector<ApScan> Network::scan() const {
       s.load_by_width[b] += 1.0 + cl.offered_mbps / 5.0;
     }
 
-    for (const auto& other : aps_) {
-      if (other.id == ap.id) continue;
-      if (!in_cs_range(ap, other)) continue;
-      s.neighbors.push_back(NeighborReport{
-          other.id, cfg_.prop.rssi(kApTxPowerDbm, other.pos, ap.pos, cfg_.band)});
-    }
+    s.neighbors.reserve(links_[i].cs_aps.size());
+    for (const HeardAp& h : links_[i].cs_aps)
+      s.neighbors.push_back(NeighborReport{aps_[h.ap].id, h.rssi});
 
-    for (const Channel& comp : channels::us_catalog(cfg_.band, ChannelWidth::MHz20)) {
-      double u = external_duty_at(ap, comp);
+    for (const Channel& comp : catalog) {
+      double u = external_duty_at(i, comp);
       if (cfg_.scan_noise_sigma > 0.0 && u > 0.0) {
         // Scanning-radio sampling error (150 ms dwells, §2.1).
         u = std::clamp(u + rng_.normal(0.0, cfg_.scan_noise_sigma), 0.0, 1.0);
@@ -475,9 +516,9 @@ Samples Network::sample_bitrate_efficiency(const Evaluation& ev) const {
 
 Samples Network::sample_client_rssi() const {
   Samples out;
-  for (const auto& ap : aps_)
-    for (const auto& cl : ap.clients)
-      out.add(cfg_.prop.rssi(kClientTxPowerDbm, cl.pos, ap.pos, cfg_.band));
+  for (const LinkBudget& l : links_)
+    for (const ClientLink& cl : l.clients)
+      out.add(kClientTxPowerDbm - cl.loss_up);
   return out;
 }
 
@@ -491,12 +532,8 @@ Samples Network::sample_cochannel_interferers() const {
   Samples out;
   for (std::size_t i = 0; i < aps_.size(); ++i) {
     int count = 0;
-    for (std::size_t j = 0; j < aps_.size(); ++j) {
-      if (i == j) continue;
-      if (aps_[i].channel.overlaps(aps_[j].channel) &&
-          in_cs_range(aps_[i], aps_[j]))
-        ++count;
-    }
+    for (const HeardAp& h : links_[i].cs_aps)
+      if (aps_[i].channel.overlaps(aps_[h.ap].channel)) ++count;
     out.add(static_cast<double>(count));
   }
   return out;

@@ -18,6 +18,8 @@
 // are derived from these results — *not* from TurboCA's NodeP — so channel
 // plans are evaluated by an independent model, avoiding circularity.
 
+#include <array>
+#include <cstdint>
 #include <optional>
 #include <set>
 #include <vector>
@@ -185,8 +187,33 @@ class Network {
   [[nodiscard]] Samples sample_cochannel_interferers() const;
 
  private:
-  struct Interference {
-    double noise_mw_extra = 0.0;  // co-channel interference power at client
+  // Static link budgets. Positions and transmit powers never change once an
+  // add_* call returns, so every path loss is computed there, once, and
+  // scan()/evaluate() only look the results up. Each stored value is the
+  // exact double PropagationModel::rssi (tx_power - path_loss) gives for
+  // the query it answers, with the same argument order (DESIGN.md §14).
+  struct HeardAp {  // another AP this AP carrier-senses
+    std::uint32_t ap;
+    Dbm rssi;  // that AP's signal here
+  };
+  struct FarSource {  // a transmitter below carrier-sense range
+    std::uint32_t index;
+    double rx_mw;  // its signal here, in mW
+  };
+  struct ClientLink {
+    Db loss_down;  // AP -> client
+    Db loss_up;    // client -> AP
+    // Efficiency denominator: the max rate both ends support (§4.6.2), per
+    // AP operating width.
+    std::array<double, 4> max_rate;
+  };
+  struct LinkBudget {
+    // All in ascending index order, the order the sums run in.
+    std::vector<HeardAp> cs_aps;
+    std::vector<FarSource> far_aps;
+    std::vector<std::uint32_t> cs_interferers;
+    std::vector<FarSource> far_interferers;
+    std::vector<ClientLink> clients;  // parallel to ApNode::clients
   };
 
   [[nodiscard]] const ApNode& ap_of(ApId id) const;
@@ -196,19 +223,26 @@ class Network {
   void refresh_dfs_fallback(ApNode& ap);
   // §4.3.1 disruption accounting for one AP's active clients after a switch.
   void account_switch_disruption(const ApNode& ap);
-  [[nodiscard]] bool in_cs_range(const ApNode& a, const ApNode& b) const;
-  [[nodiscard]] double external_duty_at(const ApNode& a,
+  // File the link between `a` (an AP) and transmitter `from`: carrier-sensed
+  // when `cs_loss` puts it above the threshold, else a far source whose
+  // power arrives over `rx_loss`.
+  void file_ap_link(LinkBudget& a, std::uint32_t from, Db cs_loss,
+                    Db rx_loss) const;
+  void file_interferer_link(LinkBudget& a, std::uint32_t k,
+                            const Position& ap_pos) const;
+  [[nodiscard]] double external_duty_at(std::size_t ap,
                                         const Channel& on) const;
   [[nodiscard]] double client_phy_rate(const ApNode& ap, const ClientNode& cl,
+                                       const ClientLink& link,
                                        double interference_mw,
                                        int cochannel_contenders) const;
-  [[nodiscard]] double client_max_rate(const ApNode& ap,
-                                       const ClientNode& cl) const;
 
   Config cfg_;
   mutable Rng rng_;
   std::vector<ApNode> aps_;
   std::vector<ExternalInterferer> interferers_;
+  std::vector<LinkBudget> links_;   // parallel to aps_
+  std::array<double, 4> noise_mw_;  // noise floor per channel width, in mW
   int total_switches_ = 0;
   int radar_evacuations_ = 0;
   int radar_duplicates_ = 0;

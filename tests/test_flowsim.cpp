@@ -4,6 +4,7 @@
 
 #include "core/turboca/service.hpp"
 #include "flowsim/network.hpp"
+#include "obs/gate.hpp"
 #include "workload/topology.hpp"
 
 namespace w11 {
@@ -315,6 +316,46 @@ TEST(Flowsim, ScanNoisePerturbsUtilizationEstimates) {
     EXPECT_NEAR(u, 0.4, 0.4);  // centred on the true duty
   }
 }
+
+#if W11_OBS
+// Every path loss is computed once, when its endpoints are inserted: one per
+// direction of each AP pair, one per interferer -> AP link and two per
+// client. Measuring, re-planning and churning the interferers afterwards
+// computes none.
+TEST(Flowsim, LinkBudgetsAreComputedOnlyAtInsertion) {
+  obs::MetricsRegistry& reg = obs::metrics();
+  const bool was_enabled = reg.enabled();
+  reg.set_enabled(true);
+  const obs::Counter budgets = reg.counter("flowsim.link_budgets");
+  const std::uint64_t before = reg.counter_value(budgets);
+
+  workload::CampusConfig cc;
+  cc.n_aps = 40;
+  cc.seed = 3;
+  auto net = workload::make_campus(cc);
+  std::uint64_t clients = 0;
+  for (const auto& ap : net->aps()) clients += ap.clients.size();
+  const std::uint64_t n = net->ap_count();
+  const std::uint64_t built = reg.counter_value(budgets) - before;
+
+  Rng rng(8);
+  for (int k = 0; k < 5; ++k) {
+    (void)net->scan();
+    (void)net->evaluate();
+    (void)net->sample_client_rssi();
+    (void)net->sample_cochannel_interferers();
+    net->mutate_interferers(rng);
+    workload::randomize_channels(*net, ChannelWidth::MHz40, rng);
+    net->set_load_factor(0.5 + 0.1 * k);
+  }
+  const std::uint64_t after = reg.counter_value(budgets) - before;
+  reg.set_enabled(was_enabled);
+
+  ASSERT_GT(net->interferer_count(), 0u);
+  EXPECT_EQ(built, n * (n - 1) + n * net->interferer_count() + 2 * clients);
+  EXPECT_EQ(after, built);
+}
+#endif  // W11_OBS
 
 TEST(Flowsim, TurboCaRobustToModerateScanNoise) {
   // Plans built from noisy scans must still clearly beat the unplanned
