@@ -64,15 +64,18 @@ std::vector<ApScan> campus_scans(int n_aps) {
   return net->scan();
 }
 
+// One NodeP evaluation on the reference formula (linear neighbor lookups
+// over the raw scans), the scalar baseline BM_NodePBatch is set against.
 void BM_NodePEvaluation(benchmark::State& state) {
   const auto scans = campus_scans(40);
-  turboca::TurboCA tca({}, Rng(1));
+  const turboca::Params params;
   ChannelPlan plan;
   for (const auto& s : scans) plan[s.id] = s.current;
   std::size_t i = 0;
   for (auto _ : state) {
     const ApScan& s = scans[i++ % scans.size()];
-    benchmark::DoNotOptimize(tca.node_p_log(s, s.current, scans, plan, {}));
+    benchmark::DoNotOptimize(
+        turboca::reference::node_p_log(params, s, s.current, scans, plan, {}));
   }
 }
 BENCHMARK(BM_NodePEvaluation);

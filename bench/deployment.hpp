@@ -82,8 +82,7 @@ inline DeploymentResult run_deployment(Deployment dep, Algorithm algo,
         turboca::Params{}, turboca::TurboCaService::Schedule{}, hooks, Rng(seed));
   } else {
     reserved = std::make_unique<turboca::ReservedCaService>(
-        turboca::ReservedCaService::Config{}, turboca::Params{}, hooks,
-        Rng(seed));
+        turboca::ReservedCaService::Config{}, turboca::Params{}, hooks);
   }
 
   DeploymentResult res;

@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
 
   // The baseline: sequential, isolated, fixed-width assignment.
   {
-    turboca::ReservedCaService reserved({}, {}, hooks, Rng(7));
+    turboca::ReservedCaService reserved({}, {}, hooks);
     reserved.run_now();
     report("after ReservedCA (fixed 40MHz, isolated per-AP)", *net);
   }

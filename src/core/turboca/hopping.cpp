@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "flowsim/scan_index.hpp"
 
 namespace w11::turboca {
 
@@ -37,16 +36,14 @@ void HoppingCaService::advance_to(Time now) {
 }
 
 void HoppingCaService::hop_now() {
-  // One immutable index per hop epoch (hopping needs no contender floor —
-  // it never scores NodeP — but shares the epoch-ownership convention of
-  // the planner stack).
-  const flowsim::ScanIndex index(hooks_.scan());
-  if (index.size() == 0) return;
-  build_sequences(index.scans());
+  // Hopping never scores NodeP, so it walks the raw census in scan order.
+  const std::vector<ApScan> scans = hooks_.scan();
+  if (scans.empty()) return;
+  build_sequences(scans);
 
   ChannelPlan plan = hooks_.current_plan();
   int switches = 0;
-  for (const ApScan& s : index.scans()) {
+  for (const ApScan& s : scans) {
     auto& seq = sequences_.at(s.id);
     auto& cur = cursor_.at(s.id);
     const Channel next = seq[cur % seq.size()];

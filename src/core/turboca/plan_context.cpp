@@ -15,6 +15,28 @@
 
 namespace w11::turboca {
 
+namespace {
+
+// One log NodeP term: load(b) · log channel_metric(c, b), with an
+// effectively-zero metric clamped to kNodePLogFloor.
+inline double log_term(double load, double metric) {
+  return load * (metric > 1e-12 ? std::log(metric) : kNodePLogFloor);
+}
+
+// Client-disruption cost of moving the AP scanned as `a` to c (§4.5.1);
+// zero when c is its current channel or it has no clients.
+double switch_penalty(const Params& p, const ApScan& a, const Channel& c) {
+  if (c == a.current) return 0.0;
+  double penalty = p.switch_penalty;
+  if (a.band == Band::G2_4) penalty = p.switch_penalty_24ghz;
+  if (a.utilization_current > p.high_util_threshold)
+    penalty = std::max(penalty, p.switch_penalty_high_util);
+  if (!a.has_clients) penalty = 0.0;  // nothing to disrupt
+  return penalty;
+}
+
+}  // namespace
+
 PlanContext::PlanContext(const flowsim::ScanIndex& index, const Params& params,
                          const ChannelPlan& initial)
     : index_(&index), params_(params) {
@@ -42,26 +64,15 @@ PlanContext::PlanContext(const flowsim::ScanIndex& index, const Params& params,
   touched_.assign(n, 0);
 
   // Plan-invariant kernel companions (see header): per-candidate switch
-  // penalties (exactly channel_metric's penalty branch, hoisted out of the
-  // per-width loop it never varied across) and per-term effective loads
-  // (the empty-AP substitution folded in).
+  // penalties (constant across the per-width loop of channel_metric) and
+  // per-term effective loads (the empty-AP substitution folded in).
   cand_penalty_.resize(index.candidate_slots());
   for (std::size_t i = 0; i < n; ++i) {
-    const ApScan& a = index.scan(i);
     const std::vector<Channel>& cands = index.candidates(i);
     const std::uint32_t base = index.candidate_base(i);
-    for (std::size_t k = 0; k < cands.size(); ++k) {
-      const Channel& c = cands[k];
-      double penalty = 0.0;
-      if (c != a.current) {
-        penalty = params_.switch_penalty;
-        if (a.band == Band::G2_4) penalty = params_.switch_penalty_24ghz;
-        if (a.utilization_current > params_.high_util_threshold)
-          penalty = std::max(penalty, params_.switch_penalty_high_util);
-        if (!a.has_clients) penalty = 0.0;  // nothing to disrupt
-      }
-      cand_penalty_[base + k] = penalty;
-    }
+    for (std::size_t k = 0; k < cands.size(); ++k)
+      cand_penalty_[base + k] =
+          switch_penalty(params_, index.scan(i), cands[k]);
   }
   {
     const std::size_t slots = index.candidate_slots();
@@ -115,8 +126,8 @@ double PlanContext::net_p_log() {
 }
 
 double PlanContext::node_p_log(std::size_t i, const Channel& c,
-                               const PsiSet* psi,
-                               const TrialMove* trial) const {
+                               const PsiSet* psi, const TrialMove* trial,
+                               std::vector<obs::NodePTerm>* out) const {
   const int c_ord = channels::ordinal(c);
   const double total_load = index_->total_load(i);
   double log_p = 0.0;
@@ -125,38 +136,16 @@ double PlanContext::node_p_log(std::size_t i, const Channel& c,
     double load = index_->load_at(i, static_cast<ChannelWidth>(b), c.width);
     if (total_load <= 0.0) load = params_.empty_ap_load;
     if (load <= 0.0) continue;
-    const double metric =
-        channel_metric(i, c, c_ord, static_cast<ChannelWidth>(b), psi, trial);
-    log_p += load * (metric > 1e-12 ? std::log(metric) : kNodePLogFloor);
-  }
-  return log_p;
-}
-
-double PlanContext::node_p_log_terms(std::size_t i, const Channel& c,
-                                     std::vector<obs::NodePTerm>* out) const {
-  // Mirrors node_p_log exactly (same loop, same floor) and additionally
-  // captures the per-width breakdown; keep the two in lockstep.
-  const int c_ord = channels::ordinal(c);
-  const double total_load = index_->total_load(i);
-  double log_p = 0.0;
-  const int cw = static_cast<int>(c.width);
-  for (int b = 0; b <= cw; ++b) {
-    double load = index_->load_at(i, static_cast<ChannelWidth>(b), c.width);
-    if (total_load <= 0.0) load = params_.empty_ap_load;
-    if (load <= 0.0) continue;
-    obs::NodePTerm term;
-    const double metric = channel_metric(i, c, c_ord,
-                                         static_cast<ChannelWidth>(b), nullptr,
-                                         nullptr, &term);
-    const double log_term =
-        load * (metric > 1e-12 ? std::log(metric) : kNodePLogFloor);
-    log_p += log_term;
-    if (out != nullptr) {
-      term.width_mhz = width_mhz(static_cast<ChannelWidth>(b));
-      term.load = load;
-      term.metric = metric;
-      term.log_term = log_term;
-      out->push_back(term);
+    obs::NodePTerm* term = out != nullptr ? &out->emplace_back() : nullptr;
+    const double metric = channel_metric(
+        i, c, c_ord, static_cast<ChannelWidth>(b), psi, trial, term);
+    const double lt = log_term(load, metric);
+    log_p += lt;
+    if (term != nullptr) {
+      term->width_mhz = width_mhz(static_cast<ChannelWidth>(b));
+      term->load = load;
+      term->metric = metric;
+      term->log_term = lt;
     }
   }
   return log_p;
@@ -179,7 +168,7 @@ double PlanContext::channel_metric(std::size_t i, const Channel& c, int c_ord,
     sub = channels::sub_channel(c, b);
     sub_ord = channels::ordinal(sub);
   }
-  const flowsim::ScanIndex::ChannelStats st =
+  const flowsim::ScanChannelStats st =
       sub_ord >= 0 ? index.stats(i, sub_ord)
                    : flowsim::ScanIndex::compute_stats(a, sub);
 
@@ -203,14 +192,7 @@ double PlanContext::channel_metric(std::size_t i, const Channel& c, int c_ord,
   const double airtime =
       std::clamp((1.0 - st.external_util) / (1.0 + contenders), 0.0, 1.0);
 
-  double penalty = 0.0;
-  if (c != a.current) {
-    penalty = params_.switch_penalty;
-    if (a.band == Band::G2_4) penalty = params_.switch_penalty_24ghz;
-    if (a.utilization_current > params_.high_util_threshold)
-      penalty = std::max(penalty, params_.switch_penalty_high_util);
-    if (!a.has_clients) penalty = 0.0;  // nothing to disrupt
-  }
+  const double penalty = switch_penalty(params_, a, c);
 
   if (detail != nullptr) {
     detail->airtime = airtime;
@@ -295,7 +277,7 @@ void PlanContext::score_candidates(std::size_t i, std::span<double> out,
       const double airtime =
           std::clamp((1.0 - blk.ext[t]) / (1.0 + contenders), 0.0, 1.0);
       const double metric = blk.width[t] * (airtime * blk.qual[t] - penalty);
-      log_p += load * (metric > 1e-12 ? std::log(metric) : kNodePLogFloor);
+      log_p += log_term(load, metric);
     }
     out[k] = log_p;
   }
@@ -361,15 +343,7 @@ void PlanContext::add_neighbor_scores(std::size_t nb, std::size_t target,
   // Per width term, the two possible log contributions: target's trial
   // channel overlapping this sub-channel (+t_mult contenders) or not.
   // Exactly the scalar metric arithmetic; only the contender count varies.
-  const ApScan& a = index.scan(nb);
-  double penalty = 0.0;
-  if (nc != a.current) {
-    penalty = params_.switch_penalty;
-    if (a.band == Band::G2_4) penalty = params_.switch_penalty_24ghz;
-    if (a.utilization_current > params_.high_util_threshold)
-      penalty = std::max(penalty, params_.switch_penalty_high_util);
-    if (!a.has_clients) penalty = 0.0;  // nothing to disrupt
-  }
+  const double penalty = switch_penalty(params_, index.scan(nb), nc);
   const double total_load = index.total_load(nb);
   double lt_without[4];
   double lt_with[4];
@@ -379,22 +353,21 @@ void PlanContext::add_neighbor_scores(std::size_t nb, std::size_t target,
     if (total_load <= 0.0) load = params_.empty_ap_load;
     if (load <= 0.0) continue;
     live[b] = true;
-    const flowsim::ScanIndex::ChannelStats& st = index.stats(nb, subs[b]);
+    const flowsim::ScanChannelStats& st = index.stats(nb, subs[b]);
     const double width =
         static_cast<double>(width_mhz(static_cast<ChannelWidth>(b)));
     {
       const double airtime =
           std::clamp((1.0 - st.external_util) / (1.0 + base_cnt[b]), 0.0, 1.0);
       const double metric = width * (airtime * st.quality - penalty);
-      lt_without[b] =
-          load * (metric > 1e-12 ? std::log(metric) : kNodePLogFloor);
+      lt_without[b] = log_term(load, metric);
     }
     if (t_mult > 0) {
       const int contenders = base_cnt[b] + t_mult;
       const double airtime =
           std::clamp((1.0 - st.external_util) / (1.0 + contenders), 0.0, 1.0);
       const double metric = width * (airtime * st.quality - penalty);
-      lt_with[b] = load * (metric > 1e-12 ? std::log(metric) : kNodePLogFloor);
+      lt_with[b] = log_term(load, metric);
     } else {
       lt_with[b] = lt_without[b];
     }

@@ -68,7 +68,6 @@ class PlanContext {
               const ChannelPlan& initial);
 
   [[nodiscard]] const flowsim::ScanIndex& index() const { return *index_; }
-  [[nodiscard]] const Params& params() const { return params_; }
 
   [[nodiscard]] const Channel& channel_of(std::size_t i) const {
     return plan_[i];
@@ -85,18 +84,15 @@ class PlanContext {
 
   // log NodeP of AP i operating on channel c against the current plan,
   // with ψ excluded from contention and an optional uncommitted trial move
-  // overriding one AP's planned channel.
+  // overriding one AP's planned channel. When `out` is non-null the §4.4
+  // per-width term breakdown is appended to it; the audit (DESIGN.md §12)
+  // thus sees exactly the numbers the optimizer used, and the kernel parity
+  // suite (tests/test_score_kernel.cpp) pins it against score_candidates.
   [[nodiscard]] double node_p_log(std::size_t i, const Channel& c,
                                   const PsiSet* psi = nullptr,
-                                  const TrialMove* trial = nullptr) const;
-
-  // node_p_log with the §4.4 per-width term breakdown appended to `out`
-  // (when non-null). Arithmetic is identical to node_p_log — the audit
-  // (DESIGN.md §12) sees exactly the numbers the optimizer used. This stays
-  // on the scalar path deliberately; the kernel parity suite
-  // (tests/test_score_kernel.cpp) pins it against score_candidates.
-  [[nodiscard]] double node_p_log_terms(std::size_t i, const Channel& c,
-                                        std::vector<obs::NodePTerm>* out) const;
+                                  const TrialMove* trial = nullptr,
+                                  std::vector<obs::NodePTerm>* out =
+                                      nullptr) const;
 
   // ---- batched SoA scoring kernel (DESIGN.md §14) -----------------------
   // One pass over AP i's ScanIndex score block evaluating log NodeP for

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <queue>
 #include <unordered_map>
 
 // The oracle side of the golden plan-equivalence suite; value-unsafe FP
@@ -152,6 +153,27 @@ Channel acc(const Params& params, const ApScan& target,
   return best;
 }
 
+std::set<ApId> hop_neighborhood(const std::vector<ApScan>& scans, ApId from,
+                                int hops) {
+  std::unordered_map<ApId, const ApScan*> by_id;
+  for (const auto& s : scans) by_id[s.id] = &s;
+
+  std::set<ApId> seen{from};
+  std::queue<std::pair<ApId, int>> frontier;
+  frontier.push({from, 0});
+  while (!frontier.empty()) {
+    const auto [id, depth] = frontier.front();
+    frontier.pop();
+    if (depth >= hops) continue;
+    const auto it = by_id.find(id);
+    if (it == by_id.end()) continue;
+    for (const NeighborReport& nb : it->second->neighbors) {
+      if (seen.insert(nb.id).second) frontier.push({nb.id, depth + 1});
+    }
+  }
+  return seen;
+}
+
 }  // namespace reference
 
 ChannelPlan ReferenceEvaluator::nbo(const std::vector<ApScan>& scans,
@@ -170,7 +192,8 @@ ChannelPlan ReferenceEvaluator::nbo(const std::vector<ApScan>& scans,
     const std::size_t pick = rng_.index(s_set.size());
     const ApId n = s_set[pick];
 
-    const std::set<ApId> hood = hop_neighborhood(scans, n, hop_limit);
+    const std::set<ApId> hood =
+        reference::hop_neighborhood(scans, n, hop_limit);
     std::vector<ApId> group;
     for (ApId id : s_set)
       if (hood.contains(id)) group.push_back(id);

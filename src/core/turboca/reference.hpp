@@ -7,7 +7,8 @@
 // ChannelPlan copy per ACC call and a full rescore per NetP — kept as the
 // behavioural oracle: the golden-determinism tests assert that the
 // PlanContext/ScanIndex engine reproduces it bit-for-bit, and the perf
-// benches measure the speedup against it. Do not optimize this file.
+// benches measure the speedup against it. No production code calls it.
+// Do not optimize this file.
 
 #include <set>
 #include <vector>
@@ -19,9 +20,8 @@
 
 namespace w11::turboca::reference {
 
-// Free-function forms of the reference metrics (no state beyond Params) —
-// also the implementation behind TurboCA's scan-vector node_p_log, which
-// must keep working for APs that are not part of any index.
+// Free-function forms of the reference metrics (no state beyond Params).
+// node_p_log scores any scan `a`, indexed or not.
 [[nodiscard]] double node_p_log(const Params& params, const ApScan& a,
                                 const Channel& c,
                                 const std::vector<ApScan>& scans,
@@ -34,6 +34,11 @@ namespace w11::turboca::reference {
                           const std::vector<ApScan>& scans,
                           const ChannelPlan& plan, const std::set<ApId>& psi);
 
+// Hop-limited neighborhood over the scan graph: ids within `hops` of `from`
+// (BFS on neighbor reports), including `from` itself.
+[[nodiscard]] std::set<ApId> hop_neighborhood(const std::vector<ApScan>& scans,
+                                              ApId from, int hops);
+
 }  // namespace w11::turboca::reference
 
 namespace w11::turboca {
@@ -43,33 +48,12 @@ class ReferenceEvaluator {
   ReferenceEvaluator(Params params, Rng rng)
       : params_(params), rng_(std::move(rng)) {}
 
-  [[nodiscard]] double node_p_log(const ApScan& a, const Channel& c,
-                                  const std::vector<ApScan>& scans,
-                                  const ChannelPlan& plan,
-                                  const std::set<ApId>& ignore) const {
-    return reference::node_p_log(params_, a, c, scans, plan, ignore);
-  }
-
-  [[nodiscard]] double net_p_log(const std::vector<ApScan>& scans,
-                                 const ChannelPlan& plan) const {
-    return reference::net_p_log(params_, scans, plan);
-  }
-
-  [[nodiscard]] Channel acc(const ApScan& target,
-                            const std::vector<ApScan>& scans,
-                            const ChannelPlan& plan,
-                            const std::set<ApId>& psi) const {
-    return reference::acc(params_, target, scans, plan, psi);
-  }
-
   [[nodiscard]] ChannelPlan nbo(const std::vector<ApScan>& scans,
                                 const ChannelPlan& current, int hop_limit);
 
   [[nodiscard]] TurboCA::RunResult run(const std::vector<ApScan>& scans,
                                        const ChannelPlan& current,
                                        int hop_limit);
-
-  [[nodiscard]] const Params& params() const { return params_; }
 
  private:
   Params params_;

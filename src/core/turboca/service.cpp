@@ -10,17 +10,37 @@ namespace w11::turboca {
 
 namespace {
 
-// Drop scans whose snapshot is older than `max_age` relative to `now`.
-// Unstamped scans (taken_at == 0, e.g. hand-built or recorded data) are
-// always kept. Returns how many entries were removed.
-std::size_t drop_stale_scans(std::vector<ApScan>& scans, Time now,
-                             Time max_age) {
-  if (max_age == time::kForever) return 0;
-  const std::size_t before = scans.size();
-  std::erase_if(scans, [&](const ApScan& s) {
-    return s.taken_at != Time{} && now - s.taken_at > max_age;
-  });
-  return before - scans.size();
+// The firing's census: the hooks' scans minus those whose snapshot is
+// older than `max_age` relative to `now` (unstamped scans, taken_at == 0,
+// e.g. hand-built or recorded data, are always kept). A partially-fresh
+// census still plans for the fresh APs. Empty means the firing is skipped,
+// counted as an empty feed (down) or an all-stale one (a wedged collector
+// replaying its cache).
+std::vector<ApScan> fresh_census(const NetworkHooks& hooks, Time now,
+                                 Time max_age, int& empty_skips,
+                                 int& stale_skips) {
+  std::vector<ApScan> scans = hooks.scan();
+  if (scans.empty()) {
+    ++empty_skips;
+    return scans;
+  }
+  if (max_age != time::kForever) {
+    std::erase_if(scans, [&](const ApScan& s) {
+      return s.taken_at != Time{} && now - s.taken_at > max_age;
+    });
+  }
+  if (scans.empty()) ++stale_skips;
+  return scans;
+}
+
+// APs whose channel in `plan` differs from (or is absent in) `before`.
+int count_switches(const ChannelPlan& before, const ChannelPlan& plan) {
+  int switches = 0;
+  for (const auto& [id, ch] : plan) {
+    const auto it = before.find(id);
+    if (it == before.end() || it->second != ch) ++switches;
+  }
+  return switches;
 }
 
 }  // namespace
@@ -80,18 +100,10 @@ void TurboCaService::advance_to(Time now) {
 }
 
 bool TurboCaService::run_now(const std::vector<int>& levels) {
-  std::vector<ApScan> scans = hooks_.scan();
-  if (scans.empty()) {
-    ++stats_.empty_scan_skips;
-    return false;
-  }
-  // A partially-fresh census still plans for the fresh APs; only an
-  // all-stale census (a wedged collector replaying its cache) skips.
-  drop_stale_scans(scans, now_, schedule_.max_scan_age);
-  if (scans.empty()) {
-    ++stats_.stale_scan_skips;
-    return false;
-  }
+  std::vector<ApScan> scans =
+      fresh_census(hooks_, now_, schedule_.max_scan_age,
+                   stats_.empty_scan_skips, stats_.stale_scan_skips);
+  if (scans.empty()) return false;
   // One index per firing, shared across all hop tiers of the schedule; the
   // service-lifetime stats cache carries unchanged spectrum rows between
   // firings.
@@ -110,13 +122,7 @@ bool TurboCaService::run_now(const std::vector<int>& levels) {
   ++stats_.runs;
   stats_.last_netp_log = netp;
   if (improved) {
-    const ChannelPlan before = hooks_.current_plan();
-    int switches = 0;
-    for (const auto& [id, ch] : plan) {
-      const auto it = before.find(id);
-      if (it == before.end() || it->second != ch) ++switches;
-    }
-    stats_.channel_switches += switches;
+    stats_.channel_switches += count_switches(hooks_.current_plan(), plan);
     ++stats_.plans_applied;
     hooks_.apply_plan(plan);
   }
@@ -124,8 +130,8 @@ bool TurboCaService::run_now(const std::vector<int>& levels) {
 }
 
 ReservedCaService::ReservedCaService(Config cfg, Params params,
-                                     NetworkHooks hooks, Rng rng)
-    : cfg_(cfg), engine_(params, std::move(rng)), hooks_(std::move(hooks)) {
+                                     NetworkHooks hooks)
+    : cfg_(cfg), params_(params), hooks_(std::move(hooks)) {
   W11_CHECK(hooks_.scan && hooks_.current_plan && hooks_.apply_plan);
 }
 
@@ -140,20 +146,13 @@ void ReservedCaService::advance_to(Time now) {
 }
 
 bool ReservedCaService::run_now() {
-  std::vector<ApScan> scans = hooks_.scan();
-  if (scans.empty()) {
-    ++stats_.empty_scan_skips;
-    return false;
-  }
-  drop_stale_scans(scans, now_, cfg_.max_scan_age);
-  if (scans.empty()) {
-    ++stats_.stale_scan_skips;
-    return false;
-  }
-  const flowsim::ScanIndex index(std::move(scans),
-                                 engine_.params().neighbor_rssi_floor,
+  std::vector<ApScan> scans =
+      fresh_census(hooks_, now_, cfg_.max_scan_age, stats_.empty_scan_skips,
+                   stats_.stale_scan_skips);
+  if (scans.empty()) return false;
+  const flowsim::ScanIndex index(std::move(scans), params_.neighbor_rssi_floor,
                                  &stats_cache_);
-  PlanContext ctx(index, engine_.params(), hooks_.current_plan());
+  PlanContext ctx(index, params_, hooks_.current_plan());
 
   // Sequential sweep: each AP takes its isolated best channel given
   // everyone else's *current* choice — the locally-optimal trap of §4.3.2.
@@ -191,14 +190,7 @@ bool ReservedCaService::run_now() {
     ctx.set(i, best);
   }
   const ChannelPlan plan = ctx.snapshot();
-
-  const ChannelPlan before = hooks_.current_plan();
-  int switches = 0;
-  for (const auto& [id, ch] : plan) {
-    const auto it = before.find(id);
-    if (it == before.end() || it->second != ch) ++switches;
-  }
-  stats_.channel_switches += switches;
+  stats_.channel_switches += count_switches(hooks_.current_plan(), plan);
   ++stats_.runs;
   hooks_.apply_plan(plan);
   return true;

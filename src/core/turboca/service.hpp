@@ -122,7 +122,7 @@ class ReservedCaService {
     int clock_anomalies = 0;
   };
 
-  ReservedCaService(Config cfg, Params params, NetworkHooks hooks, Rng rng);
+  ReservedCaService(Config cfg, Params params, NetworkHooks hooks);
 
   // Tolerates a non-monotonic clock like TurboCaService::advance_to.
   void advance_to(Time now);
@@ -136,7 +136,7 @@ class ReservedCaService {
 
  private:
   Config cfg_;
-  TurboCA engine_;  // reuses NodeP for the isolated per-AP score
+  Params params_;  // NodeP for the isolated per-AP score
   NetworkHooks hooks_;
   flowsim::ScanStatsCache stats_cache_;
   Time last_run_{};

@@ -22,14 +22,13 @@
 // groups bounded by hop limit i; the service layer (service.hpp) runs the
 // i = 0/1/2 cadence.
 //
-// Evaluation runs on the PlanContext layer (plan_context.hpp): the caller
-// builds one flowsim::ScanIndex per scan epoch and every ACC/NBO/run call
-// evaluates NodeP terms incrementally against it. The pre-index path is
-// preserved in reference.hpp (ReferenceEvaluator) as the behavioural
+// There is one API: the caller builds one flowsim::ScanIndex per scan
+// epoch and every ACC/NBO/run call evaluates NodeP terms incrementally
+// against it on the PlanContext layer (plan_context.hpp). The pre-index
+// formulas live on in reference.hpp (ReferenceEvaluator) as the test
 // oracle; the two are bit-for-bit equivalent (tests/test_planner_golden).
 
 #include <cstdint>
-#include <set>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -105,7 +104,6 @@ class TurboCA {
   void set_audit(obs::PlanAudit* audit) { audit_ = audit; }
   [[nodiscard]] obs::PlanAudit* audit() const { return audit_; }
 
-  // ---- indexed API (the production path) --------------------------------
   // Callers build one flowsim::ScanIndex per scan epoch (with this
   // engine's neighbor_rssi_floor) and share it across calls.
 
@@ -124,32 +122,6 @@ class TurboCA {
   // if it beats `current`, else `current` (§4.4.4). Non-improving rounds
   // are rolled back in place — only touched NodeP terms are rescored.
   [[nodiscard]] RunResult run(const flowsim::ScanIndex& index,
-                              const ChannelPlan& current, int hop_limit);
-
-  // ---- scan-vector API --------------------------------------------------
-  // Compatibility overloads for callers holding raw scans; each call
-  // builds a throwaway index (acc/nbo/run) or evaluates the reference
-  // formula directly (node_p_log, which must accept an `a` that is not —
-  // or differs from — any indexed scan).
-
-  [[nodiscard]] double node_p_log(const ApScan& a, const Channel& c,
-                                  const std::vector<ApScan>& scans,
-                                  const ChannelPlan& plan,
-                                  const std::set<ApId>& ignore) const;
-
-  [[nodiscard]] double net_p_log(const std::vector<ApScan>& scans,
-                                 const ChannelPlan& plan) const;
-
-  // `target` must be an element of `scans` (matched by id).
-  [[nodiscard]] Channel acc(const ApScan& target,
-                            const std::vector<ApScan>& scans,
-                            const ChannelPlan& plan,
-                            const std::set<ApId>& psi) const;
-
-  [[nodiscard]] ChannelPlan nbo(const std::vector<ApScan>& scans,
-                                const ChannelPlan& current, int hop_limit);
-
-  [[nodiscard]] RunResult run(const std::vector<ApScan>& scans,
                               const ChannelPlan& current, int hop_limit);
 
   [[nodiscard]] const Params& params() const { return params_; }
@@ -172,10 +144,5 @@ class TurboCA {
   std::uint32_t round_picks_ = 0;   // picks committed in the current round
   std::uint32_t round_switches_ = 0;
 };
-
-// Hop-limited neighborhood over the scan graph: ids within `hops` of `from`
-// (BFS on neighbor reports), including `from` itself.
-[[nodiscard]] std::set<ApId> hop_neighborhood(const std::vector<ApScan>& scans,
-                                              ApId from, int hops);
 
 }  // namespace w11::turboca

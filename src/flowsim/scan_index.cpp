@@ -106,7 +106,7 @@ ScanIndex::ScanIndex(std::vector<ApScan> scans, Dbm contender_rssi_floor,
   // the row's LRU position; probes run in scan order, so recency is
   // deterministic. No map insertion happens between here and the fill, so
   // the row data pointers stay valid.
-  std::vector<const ChannelStats*> cached_row(n, nullptr);
+  std::vector<const ScanChannelStats*> cached_row(n, nullptr);
   std::vector<std::uint64_t> row_hash;
   if (stats_cache != nullptr) {
     row_hash.resize(n);
@@ -155,9 +155,9 @@ ScanIndex::ScanIndex(std::vector<ApScan> scans, Dbm contender_rssi_floor,
   const std::size_t sub_stride = channels::sub_channel_stride();
   for (std::size_t i = 0; i < n; ++i) {
     const ApScan& s = scans_[i];
-    ChannelStats* row = stats_.data() + i * n_ordinals_;
+    ScanChannelStats* row = stats_.data() + i * n_ordinals_;
     if (cached_row[i] != nullptr) {
-      std::memcpy(row, cached_row[i], n_ordinals_ * sizeof(ChannelStats));
+      std::memcpy(row, cached_row[i], n_ordinals_ * sizeof(ScanChannelStats));
     } else {
       for (std::size_t ord = 0; ord < n_ordinals_; ++ord)
         row[ord] = compute_stats(s, channels::by_ordinal(static_cast<int>(ord)));
@@ -207,7 +207,7 @@ ScanIndex::ScanIndex(std::vector<ApScan> scans, Dbm contender_rssi_floor,
       stats_cache->rows_.emplace(
           row_hash[i],
           ScanStatsCache::Entry{
-              std::vector<ChannelStats>(
+              std::vector<ScanChannelStats>(
                   stats_.begin() + static_cast<std::ptrdiff_t>(i * n_ordinals_),
                   stats_.begin() +
                       static_cast<std::ptrdiff_t>((i + 1) * n_ordinals_)),
@@ -240,13 +240,13 @@ std::optional<std::size_t> ScanIndex::find(ApId id) const {
   return it->second;
 }
 
-ScanIndex::ChannelStats ScanIndex::compute_stats(const ApScan& a,
-                                                 const Channel& sub) {
+ScanChannelStats ScanIndex::compute_stats(const ApScan& a,
+                                          const Channel& sub) {
   // Mirrors the reference metric exactly: worst-component external
   // utilization, mean component quality with missing components counted
   // as clean (1.0). Keep the arithmetic order stable — indexed evaluation
   // must be bit-identical to the reference evaluator.
-  ChannelStats st;
+  ScanChannelStats st;
   double ext = 0.0;
   double quality = 1.0;
   int comps = 0;

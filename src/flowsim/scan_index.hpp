@@ -36,8 +36,7 @@
 namespace w11::flowsim {
 
 // Spectrum aggregates of one catalog channel as seen by one AP. Defined at
-// namespace scope so ScanStatsCache can hold rows of them; ScanIndex keeps
-// its historical `ScanIndex::ChannelStats` spelling as an alias.
+// namespace scope so ScanStatsCache can hold rows of them.
 struct ScanChannelStats {
   double external_util = 0.0;  // worst 20 MHz component external util
   double quality = 1.0;        // mean 20 MHz component quality
@@ -97,8 +96,6 @@ class ScanStatsCache {
 
 class ScanIndex {
  public:
-  using ChannelStats = ScanChannelStats;
-
   struct Neighbor {
     std::uint32_t index;  // position of the neighbor's scan in scans()
     bool contender;       // rssi >= the contender RSSI floor
@@ -145,12 +142,12 @@ class ScanIndex {
   }
 
   // Aggregates of catalog channel `ord` as seen by AP i.
-  [[nodiscard]] const ChannelStats& stats(std::size_t i, int ord) const {
+  [[nodiscard]] const ScanChannelStats& stats(std::size_t i, int ord) const {
     return stats_[i * n_ordinals_ + static_cast<std::size_t>(ord)];
   }
   // Same arithmetic for channels outside the catalog (rare fallback).
-  [[nodiscard]] static ChannelStats compute_stats(const ApScan& a,
-                                                  const Channel& sub);
+  [[nodiscard]] static ScanChannelStats compute_stats(const ApScan& a,
+                                                      const Channel& sub);
 
   // load(b) of the NodeP formula for an AP assigned a cw-wide channel.
   [[nodiscard]] double load_at(std::size_t i, ChannelWidth b,
@@ -219,7 +216,7 @@ class ScanIndex {
   std::vector<ApRecord> recs_;
   std::vector<Neighbor> nbr_flat_;
   std::vector<std::uint32_t> dep_flat_;
-  std::vector<ChannelStats> stats_;
+  std::vector<ScanChannelStats> stats_;
   // SoA scoring block storage (see ScoreBlock): one sentinel-terminated
   // per-candidate offset array plus flat parallel term arrays.
   std::vector<std::uint32_t> cand_term_begin_;

@@ -317,7 +317,7 @@ TEST(ReservedCaService, DegradedInputsAndClockGuards) {
   DegradedScanHooks deg(hooks_for(*net), [&clock] { return clock; }, Rng(3));
   turboca::ReservedCaService::Config rcfg;
   rcfg.max_scan_age = time::minutes(30);
-  turboca::ReservedCaService svc(rcfg, {}, deg.hooks(), Rng(8));
+  turboca::ReservedCaService svc(rcfg, {}, deg.hooks());
 
   (void)deg.hooks().scan();  // healthy cache at t=1min
   deg.set_mode(ScanFaultMode::kEmpty);

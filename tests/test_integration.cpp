@@ -165,7 +165,7 @@ TEST(Integration, TurboCaRespondsToChurnReservedCaStaysStale) {
     } else {
       reserved = std::make_unique<turboca::ReservedCaService>(
           turboca::ReservedCaService::Config{}, turboca::Params{},
-          hooks_for(*net), Rng(55));
+          hooks_for(*net));
       reserved->run_now();
     }
 

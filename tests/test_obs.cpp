@@ -479,13 +479,15 @@ TEST(PlanAuditTest, AttachingAuditDoesNotPerturbThePlan) {
   p.runs_min = 1;
   p.runs_max = 3;
 
+  const flowsim::ScanIndex index(scans, p.neighbor_rssi_floor);
+
   turboca::TurboCA bare(p, Rng(5));
-  const auto without = bare.run(scans, plan, 1);
+  const auto without = bare.run(index, plan, 1);
 
   turboca::TurboCA audited(p, Rng(5));
   PlanAudit audit;
   audited.set_audit(&audit);
-  const auto with = audited.run(scans, plan, 1);
+  const auto with = audited.run(index, plan, 1);
 
   EXPECT_TRUE(without.plan == with.plan);
   EXPECT_EQ(without.improved, with.improved);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <vector>
 
 #include "core/turboca/plan_context.hpp"
@@ -54,12 +55,13 @@ void expect_golden(int n_aps, std::uint64_t seed) {
   const std::vector<ApScan> scans = campus_scans(n_aps, seed);
   const ChannelPlan plan = current_plan(scans);
   const Params p = golden_params(n_aps);
+  const flowsim::ScanIndex index(scans, p.neighbor_rssi_floor);
 
   for (int hop = 0; hop <= 2; ++hop) {
     TurboCA indexed(p, Rng(seed + 100 * hop));
     ReferenceEvaluator reference(p, Rng(seed + 100 * hop));
 
-    const TurboCA::RunResult fast = indexed.run(scans, plan, hop);
+    const TurboCA::RunResult fast = indexed.run(index, plan, hop);
     const TurboCA::RunResult slow = reference.run(scans, plan, hop);
 
     EXPECT_TRUE(fast.plan == slow.plan)
@@ -80,10 +82,11 @@ TEST(PlannerGolden, Campus300MatchesReference) { expect_golden(300, 37); }
 TEST(PlannerGolden, SingleSweepMatchesReference) {
   const std::vector<ApScan> scans = campus_scans(60, 5);
   const ChannelPlan plan = current_plan(scans);
+  const flowsim::ScanIndex index(scans, Params{}.neighbor_rssi_floor);
   for (int hop = 0; hop <= 2; ++hop) {
     TurboCA indexed({}, Rng(42 + hop));
     ReferenceEvaluator reference({}, Rng(42 + hop));
-    EXPECT_TRUE(indexed.nbo(scans, plan, hop) ==
+    EXPECT_TRUE(indexed.nbo(index, plan, hop) ==
                 reference.nbo(scans, plan, hop))
         << "hop=" << hop;
   }
@@ -110,6 +113,45 @@ TEST(PlannerGolden, DeltaNetPMatchesFullRecompute) {
         turboca::reference::net_p_log(p, index.scans(), ctx.snapshot());
     ASSERT_NEAR(incremental, full, 1e-9) << "move " << move << " ap " << i;
   }
+}
+
+// The production NodeP against the oracle's, term for term: every AP and
+// every candidate channel of a 40-AP campus under a random plan and a
+// random ψ, compared bit for bit. The breakdown form (what the audit
+// records) must also sum, in order, to its own return value.
+TEST(PlannerGolden, NodePMatchesReferenceUnderPsi) {
+  const Params p;
+  const flowsim::ScanIndex index(campus_scans(40, 29), p.neighbor_rssi_floor);
+  Rng rng(31);
+  ChannelPlan plan;
+  PsiSet psi(index.size());
+  std::set<ApId> psi_ids;
+  for (std::size_t i = 0; i < index.size(); ++i) {
+    const auto& cands = index.candidates(i);
+    plan[index.scan(i).id] = cands[rng.index(cands.size())];
+    if (rng.bernoulli(0.3)) {
+      psi.insert(i);
+      psi_ids.insert(index.scan(i).id);
+    }
+  }
+  ASSERT_FALSE(psi_ids.empty());
+  const PlanContext ctx(index, p, plan);
+
+  int psi_bites = 0;  // evaluations ψ actually changes
+  for (std::size_t i = 0; i < index.size(); ++i) {
+    for (const Channel& c : index.candidates(i)) {
+      const double got = ctx.node_p_log(i, c, &psi);
+      EXPECT_EQ(got, turboca::reference::node_p_log(p, index.scan(i), c,
+                                                    index.scans(), plan,
+                                                    psi_ids))
+          << "ap " << i << " on " << c;
+      std::vector<obs::NodePTerm> terms;
+      EXPECT_EQ(ctx.node_p_log(i, c, &psi, nullptr, &terms), got);
+      EXPECT_EQ(obs::sum_log_terms(terms), got) << "ap " << i << " on " << c;
+      if (ctx.node_p_log(i, c) != got) ++psi_bites;
+    }
+  }
+  EXPECT_GT(psi_bites, 0);
 }
 
 // Rolling back a round restores both the plan and the cached NetP terms.

@@ -5,7 +5,9 @@
 
 #include <map>
 
+#include "core/turboca/plan_context.hpp"
 #include "core/turboca/turboca.hpp"
+#include "flowsim/scan_index.hpp"
 #include "mac/medium.hpp"
 #include "net/tcp_receiver.hpp"
 #include "net/tcp_sender.hpp"
@@ -259,7 +261,7 @@ class NodePMonotone : public ::testing::TestWithParam<int> {};
 
 TEST_P(NodePMonotone, ExternalUtilizationNeverHelps) {
   Rng rng(static_cast<std::uint64_t>(GetParam()));
-  turboca::TurboCA tca({}, Rng(1));
+  const turboca::Params params;
 
   ApScan s;
   s.id = ApId{0};
@@ -274,14 +276,19 @@ TEST_P(NodePMonotone, ExternalUtilizationNeverHelps) {
   const auto cands = channels::candidate_set(Band::G5, ChannelWidth::MHz80, true);
   const Channel c = cands[rng.index(cands.size())];
   const ChannelPlan plan{{s.id, s.current}};
+  // NodeP of `s` on c through the production path, one epoch per scan edit.
+  const auto node_p = [&] {
+    const flowsim::ScanIndex index({s}, params.neighbor_rssi_floor);
+    return turboca::PlanContext(index, params, plan).node_p_log(0, c);
+  };
 
-  double prev = tca.node_p_log(s, c, {s}, plan, {});
+  double prev = node_p();
   for (double u = 0.1; u <= 0.9; u += 0.1) {
     for (int comp : c.components()) {
       s.external_util[comp] = u;
       s.quality[comp] = 1.0 - 0.6 * u;
     }
-    const double now = tca.node_p_log(s, c, {s}, plan, {});
+    const double now = node_p();
     EXPECT_LE(now, prev + 1e-9) << "util " << u << " on " << c.to_string();
     prev = now;
   }

@@ -223,8 +223,8 @@ TEST(ScoreKernel, AuditTermBreakdownSumsToKernelScore) {
     ctx.score_candidates(i, got, nullptr);
     for (std::size_t k = 0; k < got.size(); ++k) {
       std::vector<obs::NodePTerm> terms;
-      const double scalar =
-          ctx.node_p_log_terms(i, index.candidates(i)[k], &terms);
+      const double scalar = ctx.node_p_log(i, index.candidates(i)[k], nullptr,
+                                           nullptr, &terms);
       const double sum = obs::sum_log_terms(terms);
       ASSERT_EQ(std::bit_cast<std::uint64_t>(scalar),
                 std::bit_cast<std::uint64_t>(sum));
